@@ -1,7 +1,8 @@
 //! Span tracing must be invisible to the simulation: with spans disabled
 //! the sweep-workload fingerprints and the fig6 figure bytes must equal
 //! the pins recorded before the span layer landed, and enabling spans (or
-//! pooled workers) must not move them.
+//! pooled workers) must not move them. The thread-scaling workload's
+//! trace pin holds at one worker (shards run inline) and on the pool.
 
 use imobif_bench::instances::{build_sharded_arena, ShardedArenaRun};
 use imobif_experiments::figures::fig6;
@@ -13,6 +14,10 @@ use imobif_obs::fnv1a64;
 const PR7_SWEEP_TRACE_FNV: u64 = 0x20de_a642_2e6d_913c;
 /// See [`PR7_SWEEP_TRACE_FNV`].
 const PR7_SWEEP_SUMMARY_FNV: u64 = 0xbca0_645b_b9b7_1a01;
+/// The pinned trace fingerprint of the thread-scaling workload (5 000 nodes,
+/// 16 flows, 8 shards, seed 2025, 10 sim-secs; identical at every worker
+/// count).
+const THREAD_SCALING_TRACE_FNV: u64 = 0x112d_658e_8cfd_184f;
 /// FNV-1a 64 of `fig6::run(8, 2025).to_csv()` at the pre-observability
 /// tip — the figure bytes the instrumented engine must still produce.
 const PR7_FIG6_CSV_FNV: u64 = 0x67fd_e585_6d82_96c6;
@@ -67,4 +72,20 @@ fn fig6_csv_pin_holds() {
         PR7_FIG6_CSV_FNV,
         "fig6 CSV bytes drifted from the pre-observability pin"
     );
+}
+
+#[test]
+fn thread_scaling_trace_pin_holds_at_every_worker_count() {
+    // The inline (one worker) and pooled (several workers) compute steps
+    // of the epoch loop must produce the same pinned trace.
+    for threads in [1usize, 2, 4] {
+        let mut run = build_sharded_arena(5_000, 16, 8, 2025, true);
+        run.world.set_threads(threads);
+        run.run_until_time(SimTime::from_micros(10_000_000));
+        assert_eq!(
+            run.world.trace_fnv(),
+            THREAD_SCALING_TRACE_FNV,
+            "thread-scaling trace FNV drifted at {threads} threads"
+        );
+    }
 }

@@ -1,17 +1,27 @@
 //! The event loop: pops kernel events, runs application hooks, converts
 //! their [`Action`]s into [`Effect`]s, and applies effects in order.
 //!
-//! Every cross-cutting consequence a subsystem produces — scheduling a
-//! delivery or timer, killing a node, recording a trace event — flows
-//! through [`World::apply`]. Nothing else touches the event queue or the
-//! trace ring mid-event, which makes that loop the single interception
-//! point for future fault injection and sharding.
+//! The loop is written once, against the [`Engine`] trait, and driven by
+//! two engines: [`World`] over its whole population, and each shard of the
+//! sharded world over the nodes it owns. The physics rules in `delivery`,
+//! `mobility` and `beacon` read and charge node state through a borrowed
+//! [`Physics`] view and return every cross-cutting consequence — scheduling
+//! a delivery or timer, killing a node, recording a trace event — as an
+//! [`Effect`]. Only [`Engine::apply`] differs between the engines: `World`
+//! applies effects to its queue, grid and trace ring; a shard applies them
+//! to its outbox, replica patches and keyed trace. That makes `apply` the
+//! single interception point for fault injection and sharding.
 
+use imobif_energy::{MobilityCostModel, TxEnergyModel};
 use imobif_geom::Point2;
 
+use super::observe::KernelStats;
 use super::{beacon, delivery, mobility, observe, World};
+use crate::node::NodeStore;
 use crate::trace::TraceEvent;
-use crate::{Action, Application, NodeCtx, NodeId, Outbox, SimDuration, SimTime};
+use crate::{
+    Action, Application, EnergyLedger, NodeCtx, NodeId, Outbox, SimConfig, SimDuration, SimTime,
+};
 
 /// Internal kernel events.
 #[derive(Debug)]
@@ -26,6 +36,16 @@ pub(super) enum Event<M> {
     /// `node` out of service when the clock reaches the event, unless it
     /// already died.
     ScheduledKill { node: NodeId },
+}
+
+impl<M> Event<M> {
+    /// The event an [`Effect::Timer`] of `kind` schedules for `node`.
+    pub(super) fn timer(node: NodeId, kind: TimerKind) -> Self {
+        match kind {
+            TimerKind::App { tag } => Event::AppTimer { node, tag },
+            TimerKind::Beacon => Event::HelloBeacon { node },
+        }
+    }
 }
 
 /// What an [`Effect::Timer`] wakes up when it fires.
@@ -118,6 +138,231 @@ impl EffectBuf {
     }
 }
 
+/// The node state the physics rules read and charge, borrowed from
+/// whichever engine owns it for the duration of one rule.
+///
+/// `nodes` and `ledger` are indexed by the engine's local *slot* — the node
+/// index in a [`World`], the position within its shard's columns in a
+/// sharded world. Node ids in effects and trace records are always global.
+pub(super) struct Physics<'a> {
+    pub(super) nodes: &'a mut NodeStore,
+    pub(super) ledger: &'a mut EnergyLedger,
+    pub(super) stats: &'a mut KernelStats,
+    pub(super) cfg: &'a SimConfig,
+    pub(super) tx_model: &'a dyn TxEnergyModel,
+    pub(super) mobility_model: &'a dyn MobilityCostModel,
+    /// The engine's clock.
+    pub(super) time: SimTime,
+    /// Whether trace records can be observed. Rules construct
+    /// [`Effect::Trace`] only when set, keeping the untraced hot path lean.
+    pub(super) tracing: bool,
+}
+
+/// The message type an engine's applications exchange.
+pub(super) type Msg<E> = <<E as Engine>::App as Application>::Msg;
+
+/// One engine's side of the shared event loop: where node state lives, how
+/// remote nodes look from here, and how an [`Effect`] takes hold.
+/// [`dispatch`] and [`handle`] are written once against it; [`World`]
+/// implements it over its live population, a shard over the nodes it owns
+/// plus the epoch-frozen replica of everything else.
+pub(super) trait Engine {
+    type App: Application;
+
+    /// Whether hooks may read other nodes' ground truth ([`NodeCtx`]'s
+    /// HELLO-disabled mode). Shards cannot: remote state lives elsewhere.
+    const GROUND_TRUTH: bool;
+
+    /// The local slot of global node `id`.
+    fn slot_of(&self, id: NodeId) -> usize;
+
+    /// The applications, the reusable action outbox and the physics view,
+    /// borrowed together for one hook call.
+    fn parts(&mut self) -> (&mut [Self::App], &mut Outbox<Msg<Self>>, Physics<'_>);
+
+    /// The physics view alone.
+    fn physics(&mut self) -> Physics<'_> {
+        self.parts().2
+    }
+
+    /// Where a sender sees receiver `to` when pricing a transmission: the
+    /// live position in a [`World`], the replica snapshot in a shard.
+    fn receiver_position(&self, to: NodeId) -> Point2;
+
+    /// Selects the hearers of `node`'s HELLO beacon sent from `pos` (with
+    /// [`beacon::select_hearers`]) and hands them the observation. Returns
+    /// the fan-out.
+    fn broadcast(&mut self, node: NodeId, pos: Point2, residual: f64) -> usize;
+
+    /// Applies a batch of effects in push order. `actor`/`slot` is the node
+    /// whose event produced them; `msg` carries the payload of the (at most
+    /// one) [`Effect::Send`] in the batch.
+    fn apply(&mut self, actor: NodeId, slot: usize, fx: &mut EffectBuf, msg: Option<Msg<Self>>);
+}
+
+/// Runs one application hook for `id` (at `slot`), then converts the
+/// actions it pushed into effects and applies them, in push order.
+///
+/// The outbox is taken out of the engine for the duration of the call so
+/// the action loop can borrow the engine mutably; its backing storage is
+/// put back afterwards, so the steady state allocates nothing.
+pub(super) fn dispatch<E: Engine, F>(e: &mut E, id: NodeId, slot: usize, f: F)
+where
+    F: FnOnce(&mut E::App, &NodeCtx<'_>, &mut Outbox<Msg<E>>),
+{
+    let mut outbox = {
+        let (apps, outbox, p) = e.parts();
+        let mut outbox = std::mem::take(outbox);
+        outbox.clear();
+        let ctx = NodeCtx {
+            id,
+            now: p.time,
+            store: p.nodes,
+            slot,
+            truth: E::GROUND_TRUTH.then_some(&*p.nodes),
+            tx_model: p.tx_model,
+            mobility_model: p.mobility_model,
+            hello_enabled: p.cfg.hello.enabled,
+        };
+        f(&mut apps[slot], &ctx, &mut outbox);
+        outbox
+    };
+    for action in outbox.drain() {
+        if !e.physics().nodes.is_alive(slot) {
+            // A previous action in this batch killed the node.
+            break;
+        }
+        let mut fx = EffectBuf::new();
+        let msg = match action {
+            Action::Send { to, bits, msg, category } => {
+                let to_pos = e.receiver_position(to);
+                delivery::send(&mut e.physics(), id, slot, to, to_pos, bits, category, &mut fx);
+                Some(msg)
+            }
+            Action::SetTimer { delay, tag } => {
+                fx.push(Effect::Timer { node: id, delay, kind: TimerKind::App { tag } });
+                None
+            }
+            Action::MoveToward { target, max_step } => {
+                fx.push(Effect::Move { node: id, target, max_step });
+                None
+            }
+        };
+        e.apply(id, slot, &mut fx, msg);
+    }
+    *e.parts().1 = outbox;
+}
+
+/// Processes one popped event — the body of both engines' event loops.
+pub(super) fn handle<E: Engine>(e: &mut E, event: Event<Msg<E>>) {
+    match event {
+        Event::Deliver { from, to, msg } => {
+            let slot = e.slot_of(to);
+            let mut fx = EffectBuf::new();
+            let delivered = delivery::receive(&mut e.physics(), from, to, slot, &mut fx);
+            e.apply(to, slot, &mut fx, None);
+            if delivered {
+                dispatch(e, to, slot, |app, ctx, out| app.on_message(ctx, from, msg, out));
+            }
+        }
+        Event::AppTimer { node, tag } => {
+            let slot = e.slot_of(node);
+            let p = e.physics();
+            if p.nodes.is_alive(slot) {
+                p.stats.timers_fired += 1;
+                dispatch(e, node, slot, |app, ctx, out| app.on_timer(ctx, tag, out));
+            }
+        }
+        Event::HelloBeacon { node } => {
+            let slot = e.slot_of(node);
+            let mut fx = EffectBuf::new();
+            beacon::hello_beacon(e, node, slot, &mut fx);
+            e.apply(node, slot, &mut fx, None);
+        }
+        Event::ScheduledKill { node } => {
+            let slot = e.slot_of(node);
+            if e.physics().nodes.is_alive(slot) {
+                let mut fx = EffectBuf::new();
+                fx.push(Effect::Kill { node });
+                e.apply(node, slot, &mut fx, None);
+            }
+        }
+    }
+}
+
+impl<A: Application> Engine for World<A> {
+    type App = A;
+    const GROUND_TRUTH: bool = true;
+
+    fn slot_of(&self, id: NodeId) -> usize {
+        id.index()
+    }
+
+    fn parts(&mut self) -> (&mut [A], &mut Outbox<A::Msg>, Physics<'_>) {
+        (&mut self.apps, &mut self.outbox, self.core.physics())
+    }
+
+    fn receiver_position(&self, to: NodeId) -> Point2 {
+        self.core.nodes.position(to.index())
+    }
+
+    /// Hearers observe the beacon immediately, in their live tables.
+    fn broadcast(&mut self, node: NodeId, pos: Point2, residual: f64) -> usize {
+        let core = &mut self.core;
+        beacon::select_hearers(
+            core.nodes.positions(),
+            core.nodes.alive_flags(),
+            &core.grid,
+            node,
+            pos,
+            core.cfg.range,
+            &mut core.hearers,
+        );
+        for &k in &core.hearers {
+            let hearer = k as usize;
+            if core.nodes.is_alive(hearer) {
+                core.nodes.neighbor_table_mut(hearer).observe(node, pos, residual, core.time);
+            }
+        }
+        core.hearers.len()
+    }
+
+    /// Effects take hold on the world's own queue, grid and trace ring;
+    /// nothing here is keyed by the acting node.
+    fn apply(&mut self, _: NodeId, _: usize, fx: &mut EffectBuf, mut msg: Option<A::Msg>) {
+        for i in 0..fx.len {
+            let effect = fx.slots[i].take().expect("effect slot populated");
+            match effect {
+                Effect::Send { from, to, delay } => {
+                    let m = msg.take().expect("a Send effect pairs with the action's message");
+                    self.queue.push(self.core.time + delay, Event::Deliver { from, to, msg: m });
+                }
+                Effect::Move { node, target, max_step } => {
+                    let mut sub = EffectBuf::new();
+                    let p = &mut self.core.physics();
+                    if let Some(to) =
+                        mobility::move_node(p, node, node.index(), target, max_step, &mut sub)
+                    {
+                        self.core.grid.update(node.raw(), to);
+                    }
+                    self.apply(node, node.index(), &mut sub, None);
+                }
+                Effect::Timer { node, delay, kind } => {
+                    self.queue.push(self.core.time + delay, Event::timer(node, kind));
+                }
+                Effect::Kill { node } => {
+                    let mut sub = EffectBuf::new();
+                    mobility::kill(&mut self.core.physics(), node, node.index(), &mut sub);
+                    self.core.grid.remove(node.raw());
+                    self.apply(node, node.index(), &mut sub, None);
+                }
+                Effect::Trace(event) => observe::emit(&mut self.core, event),
+            }
+        }
+        fx.len = 0;
+    }
+}
+
 impl<A: Application> World<A> {
     /// Starts the world: schedules HELLO beacons and runs each
     /// application's `on_start` hook in node-id order.
@@ -137,95 +382,10 @@ impl<A: Application> World<A> {
             }
         }
         for i in 0..self.core.nodes.len() {
-            let id = NodeId::new(i as u32);
-            if !self.core.nodes.is_alive(i) {
-                continue;
-            }
-            self.dispatch(id, |app, ctx, out| app.on_start(ctx, out));
-        }
-    }
-
-    /// Runs one application hook with a context built from disjoint field
-    /// borrows (`apps` mutable, everything else shared), then converts the
-    /// actions the hook pushed into effects and applies them, in push
-    /// order.
-    ///
-    /// The outbox is taken out of `self` for the duration of the call so
-    /// the action loop can borrow the world mutably; its backing storage is
-    /// put back afterwards, so the steady state allocates nothing.
-    pub(super) fn dispatch<F>(&mut self, id: NodeId, f: F)
-    where
-        F: FnOnce(&mut A, &NodeCtx<'_>, &mut Outbox<A::Msg>),
-    {
-        let mut outbox = std::mem::take(&mut self.outbox);
-        outbox.clear();
-        {
-            let ctx = NodeCtx {
-                id,
-                now: self.core.time,
-                store: &self.core.nodes,
-                slot: id.index(),
-                truth: Some(&self.core.nodes),
-                tx_model: self.core.tx_model.as_ref(),
-                mobility_model: self.core.mobility_model.as_ref(),
-                hello_enabled: self.core.cfg.hello.enabled,
-            };
-            f(&mut self.apps[id.index()], &ctx, &mut outbox);
-        }
-        for action in outbox.drain() {
-            if !self.core.nodes.is_alive(id.index()) {
-                // A previous action in this batch killed the node.
-                break;
-            }
-            let mut fx = EffectBuf::new();
-            match action {
-                Action::Send { to, bits, msg, category } => {
-                    delivery::send(&mut self.core, id, to, bits, category, &mut fx);
-                    self.apply(&mut fx, Some(msg));
-                }
-                Action::SetTimer { delay, tag } => {
-                    fx.push(Effect::Timer { node: id, delay, kind: TimerKind::App { tag } });
-                    self.apply(&mut fx, None);
-                }
-                Action::MoveToward { target, max_step } => {
-                    fx.push(Effect::Move { node: id, target, max_step });
-                    self.apply(&mut fx, None);
-                }
+            if self.core.nodes.is_alive(i) {
+                dispatch(self, NodeId::new(i as u32), i, |app, ctx, out| app.on_start(ctx, out));
             }
         }
-        self.outbox = outbox;
-    }
-
-    /// Applies a batch of subsystem effects in push order — the single
-    /// point where scheduling, death and trace consequences take hold.
-    ///
-    /// `msg` carries the payload of the (at most one) [`Effect::Send`] in
-    /// the batch; see [`Effect::Send`] for why it travels separately.
-    fn apply(&mut self, fx: &mut EffectBuf, mut msg: Option<A::Msg>) {
-        for i in 0..fx.len {
-            let effect = fx.slots[i].take().expect("effect slot populated");
-            match effect {
-                Effect::Send { from, to, delay } => {
-                    let m = msg.take().expect("a Send effect pairs with the action's message");
-                    self.queue.push(self.core.time + delay, Event::Deliver { from, to, msg: m });
-                }
-                Effect::Move { node, target, max_step } => {
-                    let mut sub = EffectBuf::new();
-                    mobility::move_node(&mut self.core, node, target, max_step, &mut sub);
-                    self.apply(&mut sub, None);
-                }
-                Effect::Timer { node, delay, kind } => {
-                    let event = match kind {
-                        TimerKind::App { tag } => Event::AppTimer { node, tag },
-                        TimerKind::Beacon => Event::HelloBeacon { node },
-                    };
-                    self.queue.push(self.core.time + delay, event);
-                }
-                Effect::Kill { node } => mobility::kill(&mut self.core, node),
-                Effect::Trace(event) => observe::emit(&mut self.core, event),
-            }
-        }
-        fx.len = 0;
     }
 
     /// Processes the next event. Returns `false` when the queue is empty.
@@ -242,35 +402,7 @@ impl<A: Application> World<A> {
         // something "in the past".
         self.core.time = self.core.time.max(t);
         self.events_processed += 1;
-        match event {
-            Event::Deliver { from, to, msg } => {
-                let mut fx = EffectBuf::new();
-                if delivery::receive(&mut self.core, from, to, &mut fx) {
-                    self.apply(&mut fx, None);
-                    self.dispatch(to, |app, ctx, out| app.on_message(ctx, from, msg, out));
-                } else {
-                    self.apply(&mut fx, None);
-                }
-            }
-            Event::AppTimer { node, tag } => {
-                if self.core.nodes.is_alive(node.index()) {
-                    self.core.stats.timers_fired += 1;
-                    self.dispatch(node, |app, ctx, out| app.on_timer(ctx, tag, out));
-                }
-            }
-            Event::HelloBeacon { node } => {
-                let mut fx = EffectBuf::new();
-                beacon::hello_beacon(&mut self.core, node, &mut fx);
-                self.apply(&mut fx, None);
-            }
-            Event::ScheduledKill { node } => {
-                if self.core.nodes.is_alive(node.index()) {
-                    let mut fx = EffectBuf::new();
-                    fx.push(Effect::Kill { node });
-                    self.apply(&mut fx, None);
-                }
-            }
-        }
+        handle(self, event);
         true
     }
 

@@ -3,13 +3,16 @@
 //! [`World`] is a thin facade over [`WorldCore`] — the application-
 //! independent physical state — plus the generic pieces (event queue,
 //! application instances, outbox). The behavior lives in focused
-//! submodules: `kernel` (event loop, dispatch, [`Effect`] application),
+//! submodules: `kernel` (the event loop and action dispatch, written once
+//! against its `Engine` trait, plus `World`'s [`Effect`] application),
 //! `mobility` (movement/death), `beacon` (HELLO service), `delivery`
 //! (unicast send/receive) and `observe` (tracing, [`KernelStats`],
-//! metrics). Subsystems mutate their own domain state directly through
-//! `&mut WorldCore` and return every cross-cutting consequence as an
-//! [`Effect`] the kernel applies in order — the single interception point
-//! for future fault injection and sharding (DESIGN.md §10).
+//! metrics). Subsystems mutate node state directly through a borrowed
+//! `Physics` view and return every cross-cutting consequence as an
+//! [`Effect`] the engine applies in order (DESIGN.md §10). The sharded
+//! engine (`shard`) runs the same loop and subsystems over each shard's
+//! nodes and applies the same effects to its epoch outbox instead
+//! (DESIGN.md §11).
 
 mod beacon;
 mod delivery;
@@ -32,11 +35,11 @@ use crate::{
     Application, EnergyLedger, EventQueue, NeighborTable, NodeId, Outbox, SimConfig, SimError,
     SimTime, TopologyView,
 };
-use kernel::Event;
+use kernel::{Event, Physics};
 
 /// The application-independent half of the world: every field a subsystem
-/// needs to simulate the physical substrate. Non-generic, so the subsystem
-/// modules are plain functions over `&mut WorldCore` with no
+/// needs to simulate the physical substrate. Non-generic; the subsystems
+/// see it through the [`Physics`] view it lends, with no
 /// `A: Application` parameter.
 pub(crate) struct WorldCore {
     cfg: SimConfig,
@@ -51,6 +54,23 @@ pub(crate) struct WorldCore {
     hearers: Vec<u32>,
     /// Plain-field kernel instrumentation (see [`KernelStats`]).
     stats: KernelStats,
+}
+
+impl WorldCore {
+    /// The whole population as the physics rules see it (slot = node index).
+    #[inline]
+    fn physics(&mut self) -> Physics<'_> {
+        Physics {
+            nodes: &mut self.nodes,
+            ledger: &mut self.ledger,
+            stats: &mut self.stats,
+            cfg: &self.cfg,
+            tx_model: self.tx_model.as_ref(),
+            mobility_model: self.mobility_model.as_ref(),
+            time: self.time,
+            tracing: self.trace.is_some(),
+        }
+    }
 }
 
 /// The deterministic discrete-event world: nodes, radio medium, batteries,

@@ -31,11 +31,18 @@ impl KernelStats {
     pub(super) fn fanout_bin(n: usize) -> usize {
         ((usize::BITS - n.leading_zeros()) as usize).min(7)
     }
+
+    /// Counts one broadcast HELLO beacon heard by `fanout` nodes.
+    #[inline]
+    pub(super) fn record_beacon(&mut self, fanout: usize) {
+        self.hello_beacons += 1;
+        self.hello_fanout_bins[Self::fanout_bin(fanout)] += 1;
+    }
 }
 
 /// Records `event` into the trace ring, if tracing is enabled. The only
-/// writer: every subsystem's trace output arrives here, via
-/// [`super::Effect::Trace`] or a direct call from `kill`.
+/// writer: every subsystem's trace output arrives here as an
+/// [`super::Effect::Trace`] applied by the world.
 pub(super) fn emit(core: &mut WorldCore, event: TraceEvent) {
     if let Some(trace) = &mut core.trace {
         trace.record(&event);

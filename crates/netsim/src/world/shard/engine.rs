@@ -1,26 +1,29 @@
-//! The per-shard event engine: one shard's node columns, calendar queue
-//! and event loop.
+//! The per-shard engine: one shard's node columns, applications and
+//! calendar queue, driven by the kernel's shared event loop.
 //!
-//! A shard is a self-contained copy of the kernel's event loop over the
-//! nodes it owns. It mutates only its own state (batteries, positions,
-//! neighbor tables, local ledger, local queue); every consequence that
-//! touches another node — a packet delivery, a HELLO observation, a
-//! position or liveness change other shards must see — is pushed into the
-//! epoch's [`ShardOutbox`], partitioned by destination shard at emission,
-//! and applied at the next epoch barrier (see [`xfer`](super::xfer) for
-//! the run layout and the ordering argument).
+//! A shard has no event loop or physics of its own. [`ShardRun`] borrows
+//! a shard together with the epoch's context, frozen replica and outbox
+//! and implements the kernel's [`Engine`] trait, so the shard runs the
+//! same `kernel::handle`/`dispatch` loop and the same `delivery`,
+//! `mobility` and `beacon` rules as [`World`](crate::World). What is
+//! shard-specific is where remote state is read from — the epoch-frozen
+//! [`Replica`] — and where effects land: every consequence that touches
+//! another node — a packet delivery, a HELLO observation, a position or
+//! liveness change other shards must see — is pushed into the epoch's
+//! [`ShardOutbox`], partitioned by destination shard at emission, and
+//! applied at the next epoch barrier (see [`xfer`](super::xfer) for the
+//! run layout and the ordering argument).
 
 use imobif_geom::{Point2, SpatialGrid};
 
-use super::super::beacon::SMALL_WORLD_SCAN;
-use super::super::kernel::Event;
+use super::super::kernel::{self, Effect, EffectBuf, Engine, Event, Physics};
 use super::super::observe::KernelStats;
+use super::super::{beacon, mobility};
 use super::xfer::{Dlv, ObsGroup, RepPatch, ShardOutbox};
 use crate::node::NodeStore;
 use crate::trace::TraceEvent;
 use crate::{
-    Action, Application, EnergyCategory, EnergyLedger, EventQueue, NeighborTable, NodeCtx, NodeId,
-    Outbox, SimConfig, SimTime,
+    Application, EnergyLedger, EventQueue, NeighborTable, NodeId, Outbox, SimConfig, SimTime,
 };
 
 use imobif_energy::{MobilityCostModel, TxEnergyModel};
@@ -61,6 +64,7 @@ impl Replica {
 
 /// Read-only simulation context shared by every shard: configuration,
 /// energy models, and the global owner map (`global id → (shard, slot)`).
+#[derive(Clone, Copy)]
 pub(super) struct SharedCtx<'a> {
     pub(super) cfg: &'a SimConfig,
     pub(super) tx_model: &'a dyn TxEnergyModel,
@@ -83,9 +87,6 @@ impl SharedCtx<'_> {
 pub(super) struct Shard<A: Application> {
     pub(super) nodes: NodeStore,
     pub(super) apps: Vec<A>,
-    /// Local slot → global node id (ascending: slots are assigned in
-    /// `add_node` order).
-    pub(super) globals: Vec<NodeId>,
     pub(super) queue: EventQueue<Event<A::Msg>>,
     /// Per-slot sequence for queue keys (`(id << 32) | seq`).
     pub(super) qseq: Vec<u32>,
@@ -110,7 +111,6 @@ impl<A: Application> Shard<A> {
         Shard {
             nodes: NodeStore::new(),
             apps: Vec::new(),
-            globals: Vec::new(),
             queue: EventQueue::with_backend(backend),
             qseq: Vec::new(),
             eseq: Vec::new(),
@@ -135,7 +135,6 @@ impl<A: Application> Shard<A> {
     ) {
         self.nodes.drain_tables_into(spare_tables);
         recycled_apps.append(&mut self.apps);
-        self.globals.clear();
         if self.queue.backend() == backend {
             self.queue.clear();
         } else {
@@ -153,289 +152,117 @@ impl<A: Application> Shard<A> {
         self.time = SimTime::ZERO;
     }
 
-    /// Next queue key for `slot` / global `id`: ascending per-node
-    /// sequence, shard-assignment independent.
-    pub(super) fn qkey(&mut self, slot: usize, id: NodeId) -> u64 {
-        let s = self.qseq[slot];
-        self.qseq[slot] = s.wrapping_add(1);
-        (u64::from(id.raw()) << 32) | u64::from(s)
-    }
-
     fn ekey(&mut self, slot: usize, id: NodeId) -> XKey {
         let s = self.eseq[slot];
         self.eseq[slot] = s.wrapping_add(1);
         XKey { time: self.time, origin: id.raw(), seq: s }
     }
 
-    fn push_event(&mut self, time: SimTime, slot: usize, id: NodeId, event: Event<A::Msg>) {
-        let key = self.qkey(slot, id);
-        self.queue.push_keyed(time, key, event);
-    }
-
-    fn trace_emit(&mut self, slot: usize, id: NodeId, event: TraceEvent) {
-        if self.trace.is_some() {
-            let key = self.ekey(slot, id);
-            self.trace.as_mut().expect("checked").push((key, event));
-        }
-    }
-
-    /// Kills the node at `slot`: drains the battery, records the death in
-    /// the local ledger, emits the `Died` replica patch and trace record.
-    fn kill(&mut self, slot: usize, id: NodeId, xout: &mut ShardOutbox<A::Msg>) {
-        let _stranded = self.nodes.kill(slot);
-        let time = self.time;
-        self.ledger.record_death(NodeId::new(slot as u32), time);
-        xout.rep.push(RepPatch::Died { node: id });
-        self.trace_emit(slot, id, TraceEvent::Died { time, node: id });
+    /// Enqueues `event` for `slot` / global `id` under its next queue key:
+    /// ascending per-node sequence, shard-assignment independent.
+    pub(super) fn push_event(
+        &mut self,
+        at: SimTime,
+        slot: usize,
+        id: NodeId,
+        event: Event<A::Msg>,
+    ) {
+        let s = self.qseq[slot];
+        self.qseq[slot] = s.wrapping_add(1);
+        self.queue.push_keyed(at, (u64::from(id.raw()) << 32) | u64::from(s), event);
     }
 
     /// Runs every local event strictly before `end` (and at or before
-    /// `deadline`), reading the epoch-frozen `rep` snapshot for all remote
-    /// state and emitting cross-shard effects into `xout`.
+    /// `deadline`) through the kernel's shared loop, reading the
+    /// epoch-frozen `rep` snapshot for all remote state and emitting
+    /// cross-shard effects into `xout`.
     pub(super) fn run_epoch(
         &mut self,
-        sh: &SharedCtx<'_>,
+        sh: SharedCtx<'_>,
         rep: &Replica,
         xout: &mut ShardOutbox<A::Msg>,
         end: SimTime,
         deadline: SimTime,
     ) {
-        while let Some(t) = self.queue.peek_time() {
+        let mut run = ShardRun { shard: self, sh, rep, xout };
+        while let Some(t) = run.shard.queue.peek_time() {
             if t >= end || t > deadline {
                 break;
             }
-            self.step(sh, rep, xout);
+            let (t, event) = run.shard.queue.pop().expect("peeked");
+            run.shard.time = run.shard.time.max(t);
+            run.shard.events_processed += 1;
+            kernel::handle(&mut run, event);
         }
     }
+}
 
-    fn step(&mut self, sh: &SharedCtx<'_>, rep: &Replica, xout: &mut ShardOutbox<A::Msg>) {
-        let Some((t, event)) = self.queue.pop() else {
-            return;
+/// One shard borrowed together with everything its events read and write
+/// during an epoch: the shared context, the frozen replica and the epoch's
+/// outbox. This is the shard's [`Engine`]: the kernel's loop and physics
+/// rules run unchanged, and only the application of their effects is
+/// shard-specific.
+pub(super) struct ShardRun<'a, A: Application> {
+    pub(super) shard: &'a mut Shard<A>,
+    pub(super) sh: SharedCtx<'a>,
+    pub(super) rep: &'a Replica,
+    pub(super) xout: &'a mut ShardOutbox<A::Msg>,
+}
+
+impl<A: Application> Engine for ShardRun<'_, A> {
+    type App = A;
+    const GROUND_TRUTH: bool = false;
+
+    fn slot_of(&self, id: NodeId) -> usize {
+        self.sh.slot_of(id)
+    }
+
+    fn parts(&mut self) -> (&mut [A], &mut Outbox<A::Msg>, Physics<'_>) {
+        let s = &mut *self.shard;
+        let physics = Physics {
+            nodes: &mut s.nodes,
+            ledger: &mut s.ledger,
+            stats: &mut s.stats,
+            cfg: self.sh.cfg,
+            tx_model: self.sh.tx_model,
+            mobility_model: self.sh.mobility_model,
+            time: s.time,
+            tracing: s.trace.is_some(),
         };
-        self.time = self.time.max(t);
-        self.events_processed += 1;
-        match event {
-            Event::Deliver { from, to, msg } => {
-                let slot = sh.slot_of(to);
-                if self.nodes.is_alive(slot) {
-                    self.ledger.packets_delivered += 1;
-                    let time = self.time;
-                    self.trace_emit(slot, to, TraceEvent::Delivered { time, from, to });
-                    self.dispatch(sh, rep, xout, to, slot, |app, ctx, out| {
-                        app.on_message(ctx, from, msg, out);
-                    });
-                } else {
-                    self.ledger.packets_dropped += 1;
-                    let time = self.time;
-                    self.trace_emit(slot, to, TraceEvent::Dropped { time, to });
-                }
-            }
-            Event::AppTimer { node, tag } => {
-                let slot = sh.slot_of(node);
-                if self.nodes.is_alive(slot) {
-                    self.stats.timers_fired += 1;
-                    self.dispatch(sh, rep, xout, node, slot, |app, ctx, out| {
-                        app.on_timer(ctx, tag, out);
-                    });
-                }
-            }
-            Event::HelloBeacon { node } => self.hello_beacon(sh, rep, xout, node),
-            Event::ScheduledKill { node } => {
-                let slot = sh.slot_of(node);
-                if self.nodes.is_alive(slot) {
-                    self.kill(slot, node, xout);
-                }
-            }
-        }
+        (&mut s.apps, &mut s.outbox, physics)
     }
 
-    /// Runs one application hook and applies the actions it pushed, in push
-    /// order — the shard-local mirror of the kernel's dispatch.
-    pub(super) fn dispatch<F>(
-        &mut self,
-        sh: &SharedCtx<'_>,
-        rep: &Replica,
-        xout: &mut ShardOutbox<A::Msg>,
-        id: NodeId,
-        slot: usize,
-        f: F,
-    ) where
-        F: FnOnce(&mut A, &NodeCtx<'_>, &mut Outbox<A::Msg>),
-    {
-        let mut outbox = std::mem::take(&mut self.outbox);
-        outbox.clear();
-        {
-            let ctx = NodeCtx {
-                id,
-                now: self.time,
-                store: &self.nodes,
-                slot,
-                truth: None,
-                tx_model: sh.tx_model,
-                mobility_model: sh.mobility_model,
-                hello_enabled: sh.cfg.hello.enabled,
-            };
-            f(&mut self.apps[slot], &ctx, &mut outbox);
-        }
-        for action in outbox.drain() {
-            if !self.nodes.is_alive(slot) {
-                // A previous action in this batch killed the node.
-                break;
-            }
-            match action {
-                Action::Send { to, bits, msg, category } => {
-                    self.send(sh, rep, xout, id, slot, to, bits, msg, category);
-                }
-                Action::SetTimer { delay, tag } => {
-                    let at = self.time + delay;
-                    self.push_event(at, slot, id, Event::AppTimer { node: id, tag });
-                }
-                Action::MoveToward { target, max_step } => {
-                    self.move_node(sh, xout, id, slot, target, max_step);
-                }
-            }
-        }
-        self.outbox = outbox;
+    /// The epoch-frozen snapshot position — uniformly for local *and*
+    /// remote receivers, which keeps the energy charge independent of the
+    /// shard count.
+    fn receiver_position(&self, to: NodeId) -> Point2 {
+        self.rep.positions[to.index()]
     }
 
-    /// Unicast send. The receiver's distance comes from the epoch-frozen
-    /// replica snapshot — uniformly for local *and* remote receivers, which
-    /// is what keeps the energy charge independent of the shard count.
-    /// Local deliveries also go through the outbox: enqueueing them early
-    /// would consume the target's queue sequence out of global key order.
-    #[allow(clippy::too_many_arguments)]
-    fn send(
-        &mut self,
-        sh: &SharedCtx<'_>,
-        rep: &Replica,
-        xout: &mut ShardOutbox<A::Msg>,
-        from: NodeId,
-        slot: usize,
-        to: NodeId,
-        bits: u64,
-        msg: A::Msg,
-        category: EnergyCategory,
-    ) {
-        let d = self.nodes.position(slot).distance_to(rep.positions[to.index()]);
-        let e = sh.tx_model.energy(d, bits as f64);
-        if self.nodes.battery_mut(slot).try_consume(e).is_err() {
-            // Same order as the kernel: the unaffordable sender dies
-            // (recording `Died`), then the packet records `Dropped`.
-            self.ledger.packets_dropped += 1;
-            self.kill(slot, from, xout);
-            let time = self.time;
-            self.trace_emit(slot, from, TraceEvent::Dropped { time, to });
-            return;
-        }
-        self.ledger.charge(NodeId::new(slot as u32), category, e);
-        self.ledger.packets_sent += 1;
-        let time = self.time;
-        self.trace_emit(slot, from, TraceEvent::Sent { time, from, to, bits, category, energy: e });
-        let arrival = self.time + sh.cfg.tx_delay(bits);
-        let (dsi, dslot) = sh.owner[to.index()];
-        let key = self.ekey(slot, from);
-        xout.dlv[dsi as usize].push(Dlv { key, arrival, from, to, slot: dslot, msg });
-    }
-
-    /// Bounded movement step; mirrors the kernel's mobility subsystem and
-    /// additionally emits the `Moved` replica patch (partial `Moved`
-    /// strictly before `Died` on a mid-step death, as the trace pins).
-    fn move_node(
-        &mut self,
-        sh: &SharedCtx<'_>,
-        xout: &mut ShardOutbox<A::Msg>,
-        id: NodeId,
-        slot: usize,
-        target: Point2,
-        max_step: f64,
-    ) {
-        let pos = self.nodes.position(slot);
-        let (mut new_pos, mut moved) = pos.step_toward(target, max_step);
-        if moved <= 0.0 {
-            return;
-        }
-        let cost = sh.mobility_model.cost(moved);
-        let residual = self.nodes.residual(slot);
-        if cost <= residual {
-            self.nodes.battery_mut(slot).try_consume(cost).expect("checked affordable");
-            self.ledger.charge(NodeId::new(slot as u32), EnergyCategory::Mobility, cost);
-            self.nodes.set_position(slot, new_pos, moved);
-            let time = self.time;
-            self.trace_emit(
-                slot,
-                id,
-                TraceEvent::Moved { time, node: id, from: pos, to: new_pos, energy: cost },
-            );
-            xout.rep.push(RepPatch::Moved { node: id, to: new_pos });
-        } else {
-            let affordable = sh.mobility_model.reachable_distance(residual).min(moved);
-            if affordable > 0.0 && affordable.is_finite() {
-                (new_pos, moved) = pos.step_toward(target, affordable);
-                self.nodes.set_position(slot, new_pos, moved);
-            }
-            let spent = self.nodes.battery_mut(slot).drain();
-            self.ledger.charge(NodeId::new(slot as u32), EnergyCategory::Mobility, spent);
-            let time = self.time;
-            self.trace_emit(
-                slot,
-                id,
-                TraceEvent::Moved { time, node: id, from: pos, to: new_pos, energy: spent },
-            );
-            xout.rep.push(RepPatch::Moved { node: id, to: new_pos });
-            self.kill(slot, id, xout);
-        }
-    }
-
-    /// One HELLO beacon: hearers come from the epoch-frozen snapshot, and
-    /// the observations they would record are emitted as one grouped run
-    /// entry per destination shard, applied at the next barrier — HELLO
-    /// processing latency of at most one epoch, identical at every shard
-    /// count.
-    fn hello_beacon(
-        &mut self,
-        sh: &SharedCtx<'_>,
-        rep: &Replica,
-        xout: &mut ShardOutbox<A::Msg>,
-        node: NodeId,
-    ) {
-        let slot = sh.slot_of(node);
-        if !self.nodes.is_alive(slot) {
-            return;
-        }
-        if sh.cfg.hello.charge_energy {
-            let e = sh.tx_model.energy(sh.cfg.range, sh.cfg.hello.bits as f64);
-            if self.nodes.battery_mut(slot).try_consume(e).is_err() {
-                self.kill(slot, node, xout);
-                return;
-            }
-            self.ledger.charge(NodeId::new(slot as u32), EnergyCategory::Hello, e);
-        }
-        let pos = self.nodes.position(slot);
-        let residual = self.nodes.residual(slot);
-        if rep.positions.len() <= SMALL_WORLD_SCAN {
-            let r_sq = sh.cfg.range * sh.cfg.range;
-            self.hearers.clear();
-            self.hearers.extend((0..rep.positions.len()).filter_map(|i| {
-                (i != node.index() && rep.alive[i] && pos.distance_sq_to(rep.positions[i]) <= r_sq)
-                    .then_some(i as u32)
-            }));
-        } else {
-            rep.grid.query_range_into(pos, sh.cfg.range, &mut self.hearers);
-            self.hearers.retain(|&k| k != node.raw());
-            self.hearers.sort_unstable();
-        }
-        self.stats.hello_beacons += 1;
-        self.stats.hello_fanout_bins[KernelStats::fanout_bin(self.hearers.len())] += 1;
-        self.beacon_stamp += 1;
-        let stamp = self.beacon_stamp;
-        let time = self.time;
-        for &h in &self.hearers {
-            let (dsi, dslot) = sh.owner[h as usize];
-            let run = &mut xout.obs[dsi as usize];
+    /// Hearers come from the epoch-frozen snapshot, and the observations
+    /// they would record are emitted as one grouped run entry per
+    /// destination shard, applied at the next barrier — HELLO processing
+    /// latency of at most one epoch, identical at every shard count.
+    fn broadcast(&mut self, node: NodeId, pos: Point2, residual: f64) -> usize {
+        let (s, rep) = (&mut *self.shard, self.rep);
+        beacon::select_hearers(
+            &rep.positions,
+            &rep.alive,
+            &rep.grid,
+            node,
+            pos,
+            self.sh.cfg.range,
+            &mut s.hearers,
+        );
+        s.beacon_stamp += 1;
+        let stamp = s.beacon_stamp;
+        for &h in &s.hearers {
+            let (dsi, dslot) = self.sh.owner[h as usize];
+            let run = &mut self.xout.obs[dsi as usize];
             if run.mark != stamp {
                 run.mark = stamp;
                 run.groups.push(ObsGroup {
-                    time,
+                    time: s.time,
                     origin: node,
                     position: pos,
                     residual,
@@ -446,7 +273,57 @@ impl<A: Application> Shard<A> {
             run.slots.push(dslot);
             run.groups.last_mut().expect("group opened above").len += 1;
         }
-        let at = self.time + sh.cfg.hello.period;
-        self.push_event(at, slot, node, Event::HelloBeacon { node });
+        s.hearers.len()
+    }
+
+    /// Effects take hold on the shard's local queue and keyed trace, and on
+    /// the epoch outbox: every delivery leaves as a keyed [`Dlv`] — local
+    /// ones too, since enqueueing them early would consume the target's
+    /// queue sequence out of global key order — and position and liveness
+    /// changes leave as [`RepPatch`]es.
+    fn apply(&mut self, actor: NodeId, slot: usize, fx: &mut EffectBuf, mut msg: Option<A::Msg>) {
+        for i in 0..fx.len {
+            let effect = fx.slots[i].take().expect("effect slot populated");
+            match effect {
+                Effect::Send { from, to, delay } => {
+                    let msg = msg.take().expect("a Send effect pairs with the action's message");
+                    let key = self.shard.ekey(self.sh.slot_of(from), from);
+                    let arrival = self.shard.time + delay;
+                    let (dsi, dslot) = self.sh.owner[to.index()];
+                    let dlv = Dlv { key, arrival, from, to, slot: dslot, msg };
+                    self.xout.dlv[dsi as usize].push(dlv);
+                }
+                Effect::Move { node, target, max_step } => {
+                    let mut sub = EffectBuf::new();
+                    let node_slot = self.sh.slot_of(node);
+                    let p = &mut self.physics();
+                    if let Some(to) =
+                        mobility::move_node(p, node, node_slot, target, max_step, &mut sub)
+                    {
+                        self.xout.rep.push(RepPatch::Moved { node, to });
+                    }
+                    self.apply(node, node_slot, &mut sub, None);
+                }
+                Effect::Timer { node, delay, kind } => {
+                    let (at, node_slot) = (self.shard.time + delay, self.sh.slot_of(node));
+                    self.shard.push_event(at, node_slot, node, Event::timer(node, kind));
+                }
+                Effect::Kill { node } => {
+                    let mut sub = EffectBuf::new();
+                    let node_slot = self.sh.slot_of(node);
+                    mobility::kill(&mut self.physics(), node, node_slot, &mut sub);
+                    self.xout.rep.push(RepPatch::Died { node });
+                    self.apply(node, node_slot, &mut sub, None);
+                }
+                Effect::Trace(event) => {
+                    // Trace effects exist only while tracing (`Physics::tracing`).
+                    let key = self.shard.ekey(slot, actor);
+                    if let Some(trace) = &mut self.shard.trace {
+                        trace.push((key, event));
+                    }
+                }
+            }
+        }
+        fx.len = 0;
     }
 }

@@ -17,9 +17,12 @@
 //!    phases fast-forward the epoch clock in one jump (windows are placed
 //!    at event times, never stepped through empty wall-clock);
 //! 2. every active shard drains its local queue up to (exclusive) the
-//!    window end, reading remote state only from the epoch-frozen replica
-//!    snapshot and pushing cross-shard consequences into its
-//!    per-destination outbox runs;
+//!    window end — running the kernel's own event loop and physics rules
+//!    (see [`engine`]) — reading remote state only from the epoch-frozen
+//!    replica snapshot and pushing cross-shard consequences into its
+//!    per-destination outbox runs. One epoch loop serves every worker
+//!    count: one worker runs the active shards inline, more run them on
+//!    the persistent pool;
 //! 3. at the barrier, deliveries are k-way merged per destination in their
 //!    shard-count-independent key order `(time, origin node, per-node
 //!    sequence)` and enqueued on the owner shards, grouped HELLO
@@ -37,8 +40,10 @@
 //!
 //! # Intentional semantic deltas vs [`World`](crate::World)
 //!
-//! The sharded world is not trace-identical to the sequential `World`; it
-//! trades a bounded, deterministic staleness for decoupling:
+//! Both engines apply one set of physics rules, so the sharded world
+//! differs from the sequential `World` only where it reads remote state
+//! from the barrier-frozen replica — a bounded, deterministic staleness
+//! traded for decoupling:
 //!
 //! * HELLO observations commit at the next barrier (≤ one `hop_latency`
 //!   after the beacon) instead of instantaneously;
@@ -47,9 +52,12 @@
 //! * beacon hearer sets come from the snapshot positions/liveness.
 //!
 //! All deltas are identical at every shard count, so experiments compare
-//! sharded runs against sharded runs. Ground-truth peer reads (the
-//! HELLO-disabled mode) cannot cross shards, so sharded worlds require
-//! `cfg.hello.enabled`.
+//! sharded runs against sharded runs. On a workload the deltas cannot
+//! reach the two engines agree bit-for-bit; the test
+//! `world_and_sharded_world_agree_on_a_chain_in_every_energy_regime`
+//! pins that for static, dying, moving and mid-step-dying relays.
+//! Ground-truth peer reads (the HELLO-disabled mode) cannot cross shards,
+//! so sharded worlds require `cfg.hello.enabled`.
 
 mod engine;
 mod pool;
@@ -67,14 +75,14 @@ use imobif_geom::Point2;
 use imobif_obs::span::phase;
 use imobif_obs::{Registry, SpanSink, COORD_SHARD};
 
-use super::kernel::Event;
+use super::kernel::{self, Event};
 use super::observe::KernelStats;
 use crate::trace::TraceEvent;
 use crate::{
     Application, NeighborTable, NodeEnergy, NodeId, SimConfig, SimDuration, SimError, SimTime,
     TopologyView,
 };
-use engine::{Replica, Shard, SharedCtx, XKey};
+use engine::{Replica, Shard, ShardRun, SharedCtx, XKey};
 use pool::{Job, WorkerCtx, WorkerPool};
 use profile::EpochCounters;
 pub use profile::EpochProfile;
@@ -457,7 +465,6 @@ impl<A: Application> ShardedWorld<A> {
         let shard = &mut self.shards[si];
         let slot = shard.nodes.push(position, battery, table);
         shard.apps.push(app);
-        shard.globals.push(id);
         shard.qseq.push(0);
         shard.eseq.push(0);
         shard.ledger.grow_to(shard.nodes.len());
@@ -485,9 +492,8 @@ impl<A: Application> ShardedWorld<A> {
         for i in 0..self.owner.len() {
             let (si, slot) = self.owner[i];
             let id = NodeId::new(i as u32);
-            let shard = &mut self.shards[si as usize];
-            let key = shard.qkey(slot as usize, id);
-            shard.queue.push_keyed(SimTime::ZERO, key, Event::HelloBeacon { node: id });
+            let beacon = Event::HelloBeacon { node: id };
+            self.shards[si as usize].push_event(SimTime::ZERO, slot as usize, id, beacon);
         }
         let Self {
             cfg,
@@ -511,13 +517,12 @@ impl<A: Application> ShardedWorld<A> {
             owner,
         };
         for (i, &(si, slot)) in owner.iter().enumerate() {
-            let id = NodeId::new(i as u32);
             let shard = &mut shards[si as usize];
             if !shard.nodes.is_alive(slot as usize) {
                 continue;
             }
-            let xout = &mut outs[si as usize];
-            shard.dispatch(&sh, replica, xout, id, slot as usize, |app, ctx, out| {
+            let mut run = ShardRun { shard, sh, rep: replica, xout: &mut outs[si as usize] };
+            kernel::dispatch(&mut run, NodeId::new(i as u32), slot as usize, |app, ctx, out| {
                 app.on_start(ctx, out);
             });
         }
@@ -540,9 +545,7 @@ impl<A: Application> ShardedWorld<A> {
     pub fn schedule_timer(&mut self, node: NodeId, delay: SimDuration, tag: u64) {
         let (si, slot) = self.locate(node);
         let at = self.time + delay;
-        let shard = &mut self.shards[si];
-        let key = shard.qkey(slot, node);
-        shard.queue.push_keyed(at, key, Event::AppTimer { node, tag });
+        self.shards[si].push_event(at, slot, node, Event::AppTimer { node, tag });
     }
 
     /// Runs epochs until the clock passes `deadline` or every queue drains.
@@ -559,17 +562,25 @@ impl<A: Application> ShardedWorld<A> {
         A::Msg: Send + 'static,
     {
         assert!(self.started, "run_until() before start()");
-        let epoch = self.cfg.hop_latency;
         let workers = self.threads.min(self.shards.len());
-        if workers <= 1 {
-            self.run_epochs_serial(deadline, epoch);
-        } else {
-            self.run_epochs_pooled(deadline, epoch, workers);
-        }
-        self.time = self.time.max(deadline);
-    }
-
-    fn run_epochs_serial(&mut self, deadline: SimTime, epoch: SimDuration) {
+        // The pool, and the owned context snapshot its jobs carry, exist
+        // only for multi-worker runs; one worker runs shards inline.
+        let pooled = (workers > 1).then(|| {
+            if self.worker_pool.as_ref().is_none_or(|p| p.workers() != workers) {
+                self.worker_pool = Some(WorkerPool::new(workers));
+            }
+            Arc::new(WorkerCtx {
+                cfg: self.cfg,
+                tx_model: Arc::clone(&self.tx_model),
+                mobility_model: Arc::clone(&self.mobility_model),
+                owner: self.owner.clone(),
+            })
+        });
+        // The one epoch loop, for every worker count: pick the window and
+        // its active shards, run them, apply the barrier. Only the compute
+        // step depends on `pooled`.
+        let epoch = self.cfg.hop_latency;
+        let backend = self.cfg.queue_backend;
         let dense = self.dense_epochs;
         let Self {
             cfg,
@@ -581,18 +592,22 @@ impl<A: Application> ShardedWorld<A> {
             replica,
             sched,
             merge,
+            worker_pool,
+            spare_shards,
+            spare_outs,
             counters,
             spans,
             time,
             ..
         } = self;
-        let owner: &[(u32, u32)] = owner;
         let sh = SharedCtx {
             cfg,
             tx_model: tx_model.as_ref(),
             mobility_model: mobility_model.as_ref(),
             owner,
         };
+        let pool =
+            pooled.map(|ctx| (worker_pool.as_ref().expect("pool created with the context"), ctx));
         sched.rebuild(shards);
         // End of the previous window this run, for fast-forward detection.
         let mut prev_end: Option<SimTime> = None;
@@ -625,16 +640,52 @@ impl<A: Application> ShardedWorld<A> {
             counters.epochs += 1;
             counters.shard_epochs += sched.active.len() as u64;
             counters.idle_shard_epochs_skipped += (shards.len() - sched.active.len()) as u64;
-            if let Some(sp) = spans.as_mut() {
-                let now = sp.now_us();
-                sp.record(phase::SCHED, COORD_SHARD, eid, t0.unwrap_or(now), now);
+            if pool.is_some() {
+                counters.pool_jobs += sched.active.len() as u64;
+                counters.pool_max_depth = counters.pool_max_depth.max(sched.active.len() as u64);
             }
-            for &s in &sched.active {
-                let c0 = spans.as_ref().map(|sp| sp.now_us());
-                shards[s as usize].run_epoch(&sh, replica, &mut outs[s as usize], end, deadline);
-                if let Some(sp) = spans.as_mut() {
-                    let now = sp.now_us();
-                    sp.record(phase::COMPUTE, s, eid, c0.unwrap_or(now), now);
+            close_span(spans, phase::SCHED, COORD_SHARD, eid, t0);
+            if let Some((pool, ctx)) = &pool {
+                // Workers time their own compute spans against a copy of
+                // the sink's clock and ship `(start, end)` back with each
+                // `Done`.
+                let clock = spans.as_ref().map(|sp| sp.clock());
+                let t1 = spans.as_ref().map(|sp| sp.now_us());
+                for &s in &sched.active {
+                    let shard = std::mem::replace(
+                        &mut shards[s as usize],
+                        spare_shards.pop().unwrap_or_else(|| Shard::new(backend)),
+                    );
+                    let out = std::mem::replace(
+                        &mut outs[s as usize],
+                        spare_outs.pop().unwrap_or_default(),
+                    );
+                    pool.submit(Job {
+                        idx: s,
+                        shard,
+                        out,
+                        end,
+                        deadline,
+                        rep: Arc::clone(replica),
+                        ctx: Arc::clone(ctx),
+                        clock,
+                    });
+                }
+                for _ in 0..sched.active.len() {
+                    let done = pool.collect();
+                    if let (Some(sp), Some((a, b))) = (spans.as_mut(), done.span_us) {
+                        sp.record(phase::COMPUTE, done.idx, eid, a, b);
+                    }
+                    spare_shards
+                        .push(std::mem::replace(&mut shards[done.idx as usize], done.shard));
+                    spare_outs.push(std::mem::replace(&mut outs[done.idx as usize], done.out));
+                }
+                close_span(spans, phase::BARRIER_WAIT, COORD_SHARD, eid, t1);
+            } else {
+                for &s in &sched.active {
+                    let c0 = spans.as_ref().map(|sp| sp.now_us());
+                    shards[s as usize].run_epoch(sh, replica, &mut outs[s as usize], end, deadline);
+                    close_span(spans, phase::COMPUTE, s, eid, c0);
                 }
             }
             apply_epoch(
@@ -652,129 +703,7 @@ impl<A: Application> ShardedWorld<A> {
             }
             *time = (*time).max(end.min(deadline));
         }
-    }
-
-    fn run_epochs_pooled(&mut self, deadline: SimTime, epoch: SimDuration, workers: usize)
-    where
-        A: Send + 'static,
-        A::Msg: Send + 'static,
-    {
-        let recreate = match &self.worker_pool {
-            Some(p) => p.workers() != workers,
-            None => true,
-        };
-        if recreate {
-            self.worker_pool = Some(WorkerPool::new(workers));
-        }
-        let ctx = Arc::new(WorkerCtx {
-            cfg: self.cfg,
-            tx_model: Arc::clone(&self.tx_model),
-            mobility_model: Arc::clone(&self.mobility_model),
-            owner: self.owner.clone(),
-        });
-        let backend = self.cfg.queue_backend;
-        let dense = self.dense_epochs;
-        let Self {
-            shards,
-            outs,
-            replica,
-            sched,
-            merge,
-            worker_pool,
-            spare_shards,
-            spare_outs,
-            counters,
-            spans,
-            time,
-            ..
-        } = self;
-        let pool = worker_pool.as_ref().expect("pool created above");
-        sched.rebuild(shards);
-        let mut prev_end: Option<SimTime> = None;
-        loop {
-            let t0 = spans.as_ref().map(|sp| sp.now_us());
-            let next = if dense {
-                shards.iter().filter_map(|s| s.queue.peek_time()).min()
-            } else {
-                sched.next_pending(shards)
-            };
-            let Some(next) = next else { break };
-            if next > deadline {
-                break;
-            }
-            let eid = counters.epochs;
-            let end = next + epoch;
-            if dense {
-                sched.active.clear();
-                sched.active.extend(0..shards.len() as u32);
-            } else {
-                sched.collect_active(shards, end, deadline);
-            }
-            if let Some(pe) = prev_end {
-                if next > pe {
-                    counters.fast_forward_epochs += 1;
-                    counters.fast_forward_us_skipped += next.as_micros() - pe.as_micros();
-                }
-            }
-            prev_end = Some(end);
-            counters.epochs += 1;
-            counters.shard_epochs += sched.active.len() as u64;
-            counters.idle_shard_epochs_skipped += (shards.len() - sched.active.len()) as u64;
-            counters.pool_jobs += sched.active.len() as u64;
-            counters.pool_max_depth = counters.pool_max_depth.max(sched.active.len() as u64);
-            if let Some(sp) = spans.as_mut() {
-                let now = sp.now_us();
-                sp.record(phase::SCHED, COORD_SHARD, eid, t0.unwrap_or(now), now);
-            }
-            // Workers time their own compute spans against a copy of the
-            // sink's clock and ship `(start, end)` back with each `Done`.
-            let clock = spans.as_ref().map(|sp| sp.clock());
-            let t1 = spans.as_ref().map(|sp| sp.now_us());
-            for &s in &sched.active {
-                let shard = std::mem::replace(
-                    &mut shards[s as usize],
-                    spare_shards.pop().unwrap_or_else(|| Shard::new(backend)),
-                );
-                let out =
-                    std::mem::replace(&mut outs[s as usize], spare_outs.pop().unwrap_or_default());
-                pool.submit(Job {
-                    idx: s,
-                    shard,
-                    out,
-                    end,
-                    deadline,
-                    rep: Arc::clone(replica),
-                    ctx: Arc::clone(&ctx),
-                    clock,
-                });
-            }
-            for _ in 0..sched.active.len() {
-                let done = pool.collect();
-                if let (Some(sp), Some((a, b))) = (spans.as_mut(), done.span_us) {
-                    sp.record(phase::COMPUTE, done.idx, eid, a, b);
-                }
-                spare_shards.push(std::mem::replace(&mut shards[done.idx as usize], done.shard));
-                spare_outs.push(std::mem::replace(&mut outs[done.idx as usize], done.out));
-            }
-            if let Some(sp) = spans.as_mut() {
-                let now = sp.now_us();
-                sp.record(phase::BARRIER_WAIT, COORD_SHARD, eid, t1.unwrap_or(now), now);
-            }
-            apply_epoch(
-                shards,
-                outs,
-                sched,
-                Arc::get_mut(replica).expect("replica uniquely held between epochs"),
-                merge,
-                counters,
-                spans,
-                eid,
-            );
-            if !dense {
-                sched.repush(shards);
-            }
-            *time = (*time).max(end.min(deadline));
-        }
+        self.time = self.time.max(deadline);
     }
 
     #[inline]
@@ -1184,6 +1113,21 @@ impl<A: Application> std::fmt::Debug for ShardedWorld<A> {
     }
 }
 
+/// Records the `name` span of `shard` that opened at `start`, if span
+/// tracing is on, and returns its end — the start of the next phase.
+fn close_span(
+    spans: &mut Option<Box<SpanSink>>,
+    name: &'static str,
+    shard: u32,
+    epoch: u64,
+    start: Option<u64>,
+) -> Option<u64> {
+    let sp = spans.as_mut()?;
+    let now = sp.now_us();
+    sp.record(name, shard, epoch, start.unwrap_or(now), now);
+    Some(now)
+}
+
 /// The barrier: applies every active shard's outgoing effect runs.
 ///
 /// * Replica patches first (source-by-source: per-node order is preserved
@@ -1232,13 +1176,7 @@ fn apply_epoch<A: Application>(
             }
         }
     }
-    let t_obs = if let Some(sp) = spans.as_mut() {
-        let now = sp.now_us();
-        sp.record(phase::REPLICA_SYNC, COORD_SHARD, epoch_id, t_rep.unwrap_or(now), now);
-        Some(now)
-    } else {
-        None
-    };
+    let t_obs = close_span(spans, phase::REPLICA_SYNC, COORD_SHARD, epoch_id, t_rep);
     for (d, dest) in shards.iter_mut().enumerate() {
         for &s in &sched.active {
             let run = &mut outs[s as usize].obs[d];
@@ -1263,13 +1201,7 @@ fn apply_epoch<A: Application>(
             run.slots.clear();
         }
     }
-    let t_dlv = if let Some(sp) = spans.as_mut() {
-        let now = sp.now_us();
-        sp.record(phase::OBS_APPLY, COORD_SHARD, epoch_id, t_obs.unwrap_or(now), now);
-        Some(now)
-    } else {
-        None
-    };
+    let t_dlv = close_span(spans, phase::OBS_APPLY, COORD_SHARD, epoch_id, t_obs);
     for (d, dest) in shards.iter_mut().enumerate() {
         merge.heap.clear();
         for &s in &sched.active {
@@ -1288,22 +1220,15 @@ fn apply_epoch<A: Application>(
             let upto = limit.map_or(run.len(), |lk| run.partition_point(|x| x.key < lk));
             delivers += upto as u64;
             for x in run.drain(..upto) {
-                let key = dest.qkey(x.slot as usize, x.to);
-                dest.queue.push_keyed(
-                    x.arrival,
-                    key,
-                    Event::Deliver { from: x.from, to: x.to, msg: x.msg },
-                );
+                let event = Event::Deliver { from: x.from, to: x.to, msg: x.msg };
+                dest.push_event(x.arrival, x.slot as usize, x.to, event);
             }
             if let Some(head) = run.first() {
                 merge.heap.push(std::cmp::Reverse((head.key, s)));
             }
         }
     }
-    if let Some(sp) = spans.as_mut() {
-        let now = sp.now_us();
-        sp.record(phase::XFER_MERGE, COORD_SHARD, epoch_id, t_dlv.unwrap_or(now), now);
-    }
+    close_span(spans, phase::XFER_MERGE, COORD_SHARD, epoch_id, t_dlv);
     counters.delivers_merged += delivers;
     counters.observations_applied += observations;
     counters.replica_patches += patches;

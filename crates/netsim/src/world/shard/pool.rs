@@ -108,7 +108,7 @@ impl<A: Application> WorkerPool<A> {
                     let Ok(job) = job else { break };
                     let Job { idx, mut shard, mut out, end, deadline, rep, ctx, clock } = job;
                     let start_us = clock.map(|c| c.now_us());
-                    shard.run_epoch(&ctx.shared(), &rep, &mut out, end, deadline);
+                    shard.run_epoch(ctx.shared(), &rep, &mut out, end, deadline);
                     let span_us = clock.zip(start_us).map(|(c, a)| (a, c.now_us()));
                     // Release the replica handle *before* signaling done:
                     // the coordinator's `Arc::get_mut` after collecting the

@@ -316,6 +316,191 @@ fn thread_count_is_invisible_in_every_observable() {
     }
 }
 
+// ------------------------------------------------------------ vs. World
+
+/// One regime of the World-vs-shard differential: per-node batteries and
+/// the relay (if any) that moves toward a target on every packet.
+struct Regime {
+    name: &'static str,
+    joules: Vec<f64>,
+    mover: Option<(usize, Point2)>,
+}
+
+/// What the serial and sharded engines must agree on, bit-for-bit
+/// (energies and coordinates via `to_bits`), with the trace compared as a
+/// sorted multiset of JSONL lines.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    sent: u64,
+    delivered: u64,
+    dropped: u64,
+    residuals: Vec<u64>,
+    positions: Vec<(u64, u64)>,
+    ledger: Vec<[u64; 4]>,
+    totals: [u64; 4],
+    deaths: Vec<Option<SimTime>>,
+    received: Vec<Vec<(NodeId, u32)>>,
+    trace: Vec<String>,
+}
+
+const CHAIN_LEN: usize = 8;
+const CHAIN_TIMERS: u64 = 40;
+/// Source timer spacing: well over one `hop_latency`, so a sender never
+/// prices a hop against a replica position older than the receiver's last
+/// move.
+const CHAIN_TIMER_GAP_MS: u64 = 50;
+const CHAIN_RUN_MICROS: u64 = 3_000_000;
+
+/// A zigzag chain across the 2×2 layout's midlines: every hop crosses the
+/// horizontal one, and the chain crosses the vertical one halfway.
+fn chain_position(i: usize) -> Point2 {
+    Point2::new(8.0 + 12.0 * i as f64, if i.is_multiple_of(2) { 45.0 } else { 55.0 })
+}
+
+fn chain_apps(mover: Option<(usize, Point2)>) -> impl Iterator<Item = Echo> {
+    (0..CHAIN_LEN).map(move |i| Echo {
+        forward_to: (i + 1 < CHAIN_LEN).then(|| NodeId::new(i as u32 + 1)),
+        move_target: mover.filter(|&(m, _)| m == i).map(|(_, t)| t),
+        ..Echo::default()
+    })
+}
+
+fn sorted_lines(trace: &[TraceEvent]) -> Vec<String> {
+    let mut lines: Vec<String> =
+        crate::trace::events_to_jsonl(trace).lines().map(str::to_owned).collect();
+    lines.sort_unstable();
+    lines
+}
+
+fn bits4(e: &NodeEnergy) -> [u64; 4] {
+    [e.data.to_bits(), e.mobility.to_bits(), e.hello.to_bits(), e.notification.to_bits()]
+}
+
+fn chain_on_world(r: &Regime) -> Outcome {
+    let mut w: crate::World<Echo> = crate::World::new(
+        SimConfig::default(),
+        Box::new(PowerLawModel::paper_default(2.0).unwrap()),
+        Box::new(LinearMobilityCost::new(0.5).unwrap()),
+    )
+    .unwrap();
+    w.enable_tracing(1 << 16);
+    let ids: Vec<NodeId> = chain_apps(r.mover)
+        .enumerate()
+        .map(|(i, app)| w.add_node(chain_position(i), Battery::new(r.joules[i]).unwrap(), app))
+        .collect();
+    w.start();
+    for i in 0..CHAIN_TIMERS {
+        w.schedule_timer(ids[0], SimDuration::from_millis(CHAIN_TIMER_GAP_MS * i), i);
+    }
+    w.run_until(SimTime::from_micros(CHAIN_RUN_MICROS));
+    let ledger = w.ledger();
+    Outcome {
+        sent: ledger.packets_sent,
+        delivered: ledger.packets_delivered,
+        dropped: ledger.packets_dropped,
+        residuals: ids.iter().map(|&id| w.residual_energy(id).to_bits()).collect(),
+        positions: ids
+            .iter()
+            .map(|&id| w.position(id))
+            .map(|p| (p.x.to_bits(), p.y.to_bits()))
+            .collect(),
+        ledger: ids.iter().map(|&id| bits4(ledger.node(id))).collect(),
+        totals: bits4(&ledger.totals()),
+        deaths: ids.iter().map(|&id| ledger.death_time(id)).collect(),
+        received: ids.iter().map(|&id| w.app(id).received.clone()).collect(),
+        trace: sorted_lines(&w.trace().expect("tracing enabled").events()),
+    }
+}
+
+fn chain_on_shards(r: &Regime, shards: usize) -> Outcome {
+    let mut w = make_sharded(shards);
+    w.enable_tracing();
+    let ids: Vec<NodeId> = chain_apps(r.mover)
+        .enumerate()
+        .map(|(i, app)| w.add_node(chain_position(i), Battery::new(r.joules[i]).unwrap(), app))
+        .collect();
+    w.start();
+    for i in 0..CHAIN_TIMERS {
+        w.schedule_timer(ids[0], SimDuration::from_millis(CHAIN_TIMER_GAP_MS * i), i);
+    }
+    w.run_until(SimTime::from_micros(CHAIN_RUN_MICROS));
+    Outcome {
+        sent: w.packets_sent(),
+        delivered: w.packets_delivered(),
+        dropped: w.packets_dropped(),
+        residuals: ids.iter().map(|&id| w.residual_energy(id).to_bits()).collect(),
+        positions: ids
+            .iter()
+            .map(|&id| w.position(id))
+            .map(|p| (p.x.to_bits(), p.y.to_bits()))
+            .collect(),
+        ledger: ids.iter().map(|&id| bits4(&w.node_energy(id))).collect(),
+        totals: bits4(&w.totals()),
+        deaths: ids.iter().map(|&id| w.death_time(id)).collect(),
+        received: ids.iter().map(|&id| w.app(id).received.clone()).collect(),
+        trace: sorted_lines(&w.merged_trace()),
+    }
+}
+
+/// The two engines run one set of physics rules, so on a workload the
+/// module docs' semantic deltas cannot reach — no HELLO-driven behavior,
+/// sends spaced past every replica patch — they agree exactly, in each
+/// energy regime: static, death on an unaffordable send, relay movement,
+/// and death mid-step.
+#[test]
+fn world_and_sharded_world_agree_on_a_chain_in_every_energy_regime() {
+    let hop = chain_position(0).distance_to(chain_position(1));
+    let per_send = PowerLawModel::paper_default(2.0).unwrap().energy(hop, 8000.0);
+    let funded = vec![10.0; CHAIN_LEN];
+    let with = |i: usize, joules: f64| {
+        let mut j = funded.clone();
+        j[i] = joules;
+        j
+    };
+    // Relay 2 climbs off the chain at 1 m (0.5 J) per packet.
+    let climb = Some((2, Point2::new(chain_position(2).x, 95.0)));
+    let regimes = [
+        Regime { name: "static", joules: funded.clone(), mover: None },
+        Regime { name: "unaffordable send", joules: with(3, 10.5 * per_send), mover: None },
+        Regime {
+            name: "relay movement",
+            joules: funded.clone(),
+            mover: Some((2, Point2::new(chain_position(2).x, 50.0))),
+        },
+        Regime {
+            name: "mid-step death",
+            joules: with(2, 4.0 * (per_send + 0.5) + 0.2),
+            mover: climb,
+        },
+    ];
+    for r in &regimes {
+        let world = chain_on_world(r);
+        match r.name {
+            "static" => assert_eq!(world.delivered, CHAIN_TIMERS * (CHAIN_LEN as u64 - 1)),
+            "unaffordable send" => {
+                assert!(world.deaths[3].is_some() && world.dropped > 0, "relay 3 dies sending");
+            }
+            "relay movement" => assert_ne!(world.positions[2], {
+                let p = chain_position(2);
+                (p.x.to_bits(), p.y.to_bits())
+            }),
+            _ => {
+                let mobility = f64::from_bits(world.ledger[2][1]);
+                assert!(world.deaths[2].is_some(), "relay 2 dies");
+                assert!((mobility / 0.5).fract() > 0.0, "its last step was partial");
+            }
+        }
+        for shards in [1, 4] {
+            assert_eq!(
+                chain_on_shards(r, shards),
+                world,
+                "{}: {shards}-shard run diverged",
+                r.name
+            );
+        }
+    }
+}
+
 proptest::proptest! {
     /// The tentpole guarantee, over random topologies: a 1-shard world and
     /// N-shard worlds (serial and threaded) produce bit-identical traces,

@@ -295,6 +295,14 @@ fn core_world(batteries: &[(f64, f64, f64)]) -> World<Echo> {
     w
 }
 
+/// `delivery::send` of one 8 kbit data packet, priced as the world prices
+/// it: by the receiver's live position.
+fn send_data(w: &mut World<Echo>, from: NodeId, to: NodeId, fx: &mut EffectBuf) {
+    let to_pos = w.position(to);
+    let p = &mut w.core.physics();
+    delivery::send(p, from, from.index(), to, to_pos, 8000, EnergyCategory::Data, fx);
+}
+
 #[test]
 fn delivery_send_effects_success_then_failure() {
     // Success: Trace(Sent) strictly before Send — the packet is recorded
@@ -302,7 +310,7 @@ fn delivery_send_effects_success_then_failure() {
     let mut w = core_world(&[(0.0, 0.0, 10.0), (20.0, 0.0, 10.0)]);
     let (a, b) = (NodeId::new(0), NodeId::new(1));
     let mut fx = EffectBuf::new();
-    delivery::send(&mut w.core, a, b, 8000, EnergyCategory::Data, &mut fx);
+    send_data(&mut w, a, b, &mut fx);
     assert!(matches!(fx.slots[0], Some(Effect::Trace(TraceEvent::Sent { .. }))));
     assert!(matches!(fx.slots[1], Some(Effect::Send { from, to, .. }) if from == a && to == b));
     assert_eq!(fx.len, 2);
@@ -312,7 +320,7 @@ fn delivery_send_effects_success_then_failure() {
     // in the trace, the order the JSONL fingerprints pin.
     let mut w = core_world(&[(0.0, 0.0, 1e-9), (20.0, 0.0, 10.0)]);
     let mut fx = EffectBuf::new();
-    delivery::send(&mut w.core, a, b, 8000, EnergyCategory::Data, &mut fx);
+    send_data(&mut w, a, b, &mut fx);
     assert!(matches!(fx.slots[0], Some(Effect::Kill { node }) if node == a));
     assert!(matches!(fx.slots[1], Some(Effect::Trace(TraceEvent::Dropped { .. }))));
     assert_eq!(w.core.ledger.packets_dropped, 1);
@@ -324,11 +332,11 @@ fn delivery_receive_drops_for_dead_destination() {
     let mut w = core_world(&[(0.0, 0.0, 10.0), (20.0, 0.0, 10.0)]);
     let (a, b) = (NodeId::new(0), NodeId::new(1));
     let mut fx = EffectBuf::new();
-    assert!(delivery::receive(&mut w.core, a, b, &mut fx));
+    assert!(delivery::receive(&mut w.core.physics(), a, b, 1, &mut fx));
     assert!(matches!(fx.slots[0], Some(Effect::Trace(TraceEvent::Delivered { .. }))));
-    mobility::kill(&mut w.core, b);
+    mobility::kill(&mut w.core.physics(), b, 1, &mut EffectBuf::new());
     let mut fx = EffectBuf::new();
-    assert!(!delivery::receive(&mut w.core, a, b, &mut fx));
+    assert!(!delivery::receive(&mut w.core.physics(), a, b, 1, &mut fx));
     assert!(matches!(fx.slots[0], Some(Effect::Trace(TraceEvent::Dropped { .. }))));
     assert_eq!(w.core.ledger.packets_delivered, 1);
     assert_eq!(w.core.ledger.packets_dropped, 1);
@@ -336,11 +344,11 @@ fn delivery_receive_drops_for_dead_destination() {
 
 #[test]
 fn mobility_move_effects_full_step_and_mid_step_death() {
-    // Affordable: one Moved trace, position and grid updated, no Kill.
+    // Affordable: one Moved trace, position updated, no Kill.
     let mut w = core_world(&[(0.0, 0.0, 10.0)]);
     let a = NodeId::new(0);
     let mut fx = EffectBuf::new();
-    mobility::move_node(&mut w.core, a, Point2::new(10.0, 0.0), 1.0, &mut fx);
+    mobility::move_node(&mut w.core.physics(), a, 0, Point2::new(10.0, 0.0), 1.0, &mut fx);
     assert_eq!(fx.len, 1);
     assert!(matches!(fx.slots[0], Some(Effect::Trace(TraceEvent::Moved { .. }))));
     assert_eq!(w.core.nodes.position(0), Point2::new(1.0, 0.0));
@@ -348,7 +356,7 @@ fn mobility_move_effects_full_step_and_mid_step_death() {
     // Unaffordable: partial Moved strictly before Kill.
     let mut w = core_world(&[(0.0, 0.0, 0.2)]);
     let mut fx = EffectBuf::new();
-    mobility::move_node(&mut w.core, a, Point2::new(10.0, 0.0), 1.0, &mut fx);
+    mobility::move_node(&mut w.core.physics(), a, 0, Point2::new(10.0, 0.0), 1.0, &mut fx);
     assert_eq!(fx.len, 2);
     assert!(matches!(fx.slots[0], Some(Effect::Trace(TraceEvent::Moved { .. }))));
     assert!(matches!(fx.slots[1], Some(Effect::Kill { node }) if node == a));
@@ -359,7 +367,7 @@ fn mobility_move_effects_full_step_and_mid_step_death() {
     // A degenerate step (already at the target) produces no effects.
     let mut w = core_world(&[(5.0, 5.0, 10.0)]);
     let mut fx = EffectBuf::new();
-    mobility::move_node(&mut w.core, a, Point2::new(5.0, 5.0), 1.0, &mut fx);
+    mobility::move_node(&mut w.core.physics(), a, 0, Point2::new(5.0, 5.0), 1.0, &mut fx);
     assert_eq!(fx.len, 0);
 }
 
@@ -371,14 +379,14 @@ fn effects_skip_trace_when_untraced() {
     let a = w.add_node(Point2::ORIGIN, Battery::new(10.0).unwrap(), Echo::default());
     let b = w.add_node(Point2::new(20.0, 0.0), Battery::new(10.0).unwrap(), Echo::default());
     let mut fx = EffectBuf::new();
-    delivery::send(&mut w.core, a, b, 8000, EnergyCategory::Data, &mut fx);
+    send_data(&mut w, a, b, &mut fx);
     assert_eq!(fx.len, 1);
     assert!(matches!(fx.slots[0], Some(Effect::Send { .. })));
     let mut fx = EffectBuf::new();
-    assert!(delivery::receive(&mut w.core, a, b, &mut fx));
+    assert!(delivery::receive(&mut w.core.physics(), a, b, 1, &mut fx));
     assert_eq!(fx.len, 0);
     let mut fx = EffectBuf::new();
-    mobility::move_node(&mut w.core, a, Point2::new(10.0, 0.0), 1.0, &mut fx);
+    mobility::move_node(&mut w.core.physics(), a, 0, Point2::new(10.0, 0.0), 1.0, &mut fx);
     assert_eq!(fx.len, 0, "a full affordable step is pure state mutation");
     // The ledger still sees everything: the books never depend on tracing.
     assert_eq!(w.core.ledger.packets_sent, 1);
@@ -392,7 +400,7 @@ fn beacon_effects_reschedule_or_kill() {
     let mut w = core_world(&[(0.0, 0.0, 10.0), (20.0, 0.0, 10.0)]);
     let a = NodeId::new(0);
     let mut fx = EffectBuf::new();
-    beacon::hello_beacon(&mut w.core, a, &mut fx);
+    beacon::hello_beacon(&mut w, a, 0, &mut fx);
     assert_eq!(fx.len, 1);
     let period = w.core.cfg.hello.period;
     assert!(matches!(
@@ -415,7 +423,7 @@ fn beacon_effects_reschedule_or_kill() {
     .unwrap();
     let a_id = w.add_node(Point2::ORIGIN, Battery::new(1e-12).unwrap(), Echo::default());
     let mut fx = EffectBuf::new();
-    beacon::hello_beacon(&mut w.core, a_id, &mut fx);
+    beacon::hello_beacon(&mut w, a_id, 0, &mut fx);
     assert_eq!(fx.len, 1);
     assert!(matches!(fx.slots[0], Some(Effect::Kill { node }) if node == a_id));
 }
@@ -436,7 +444,7 @@ fn beacon_grid_and_scan_paths_agree() {
             w.add_node(p, Battery::new(1.0).unwrap(), Echo::default());
         }
         let mut fx = EffectBuf::new();
-        beacon::hello_beacon(&mut w.core, NodeId::new(2), &mut fx);
+        beacon::hello_beacon(&mut w, NodeId::new(2), 2, &mut fx);
         w.core.hearers.clone()
     };
     let small = hearers_of(0);

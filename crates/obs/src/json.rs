@@ -125,10 +125,14 @@ impl Json {
     }
 
     /// Parses a complete JSON document (trailing whitespace allowed).
+    ///
+    /// Arrays and objects may nest at most 128 levels; deeper input is
+    /// rejected with the byte position of the first bracket past the
+    /// limit, so no document can exhaust the call stack.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -161,8 +165,17 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level; real documents (manifests, scenario specs)
+/// nest a handful of levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parses the value at `pos`, nested inside `depth` arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {pos}"));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
@@ -178,7 +191,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -206,7 +219,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                entries.push((key, parse_value(bytes, pos)?));
+                entries.push((key, parse_value(bytes, pos, depth + 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -322,6 +335,25 @@ mod tests {
         assert_eq!(Json::Num(42.0).render(), "42");
         assert_eq!(Json::Num(0.25).render(), "0.25");
         assert_eq!(Json::Num(f64::NAN).render(), "null");
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth_with_a_positioned_error() {
+        use super::MAX_DEPTH;
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(Json::parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested("{\"a\":", "}", MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err, format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}"));
+        // Far past the limit: an error, not a stack overflow.
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let err = Json::parse(&nested(open, close, 100_000)).unwrap_err();
+            assert!(err.starts_with("nesting deeper than"), "{err}");
+            let unclosed = open.repeat(100_000);
+            assert!(Json::parse(&unclosed).unwrap_err().starts_with("nesting deeper than"));
+        }
     }
 
     #[test]
