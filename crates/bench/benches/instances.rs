@@ -3,9 +3,8 @@
 //! the hot-path optimizations (binary-heap queue / no cache vs calendar
 //! queue / decision cache).
 //!
-//! For the tracked JSON report with allocation counts, run the
-//! `hotpath_bench` binary instead (`cargo run --release -p imobif-bench
-//! --bin hotpath_bench`).
+//! Allocation counts are gated by `tests/allocs.rs`; same-host A/B timing
+//! of whole jobs lives in the repository's `benchmark/` harness.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -1,27 +1,20 @@
-//! A counting global allocator for the benchmark runner.
+//! A counting global allocator for the allocation gates.
 //!
 //! The simulator crates forbid `unsafe`, so allocation accounting lives
-//! here in bench-only code: the `hotpath_bench` binary installs
-//! [`CountingAlloc`] as its `#[global_allocator]` and reads the counters
-//! around measured regions to prove the steady-state packet path allocates
-//! nothing.
+//! here in bench-only code: `tests/allocs.rs` installs [`CountingAlloc`] as
+//! its `#[global_allocator]` and reads the counter around measured regions
+//! to prove the steady-state packet and epoch paths allocate nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static CURRENT_BYTES: AtomicUsize = AtomicUsize::new(0);
-static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
 
-/// Counters read from the allocator at one instant.
+/// The allocation counter read at one instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocSnapshot {
     /// Heap allocations performed so far (reallocations count once).
     pub allocs: u64,
-    /// Bytes currently live.
-    pub current_bytes: usize,
-    /// High-water mark of live bytes.
-    pub peak_bytes: usize,
 }
 
 impl AllocSnapshot {
@@ -32,65 +25,39 @@ impl AllocSnapshot {
     }
 }
 
-/// Reads the current counters.
+/// Reads the current counter.
 #[must_use]
 pub fn snapshot() -> AllocSnapshot {
-    AllocSnapshot {
-        allocs: ALLOCS.load(Ordering::Relaxed),
-        current_bytes: CURRENT_BYTES.load(Ordering::Relaxed),
-        peak_bytes: PEAK_BYTES.load(Ordering::Relaxed),
-    }
+    AllocSnapshot { allocs: ALLOCS.load(Ordering::Relaxed) }
 }
 
-/// Resets the peak-bytes high-water mark to the current live size, so a
-/// measured region reports its own peak rather than setup's.
-pub fn reset_peak() {
-    PEAK_BYTES.store(CURRENT_BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
-}
-
-fn on_alloc(size: usize) {
+fn on_alloc() {
     ALLOCS.fetch_add(1, Ordering::Relaxed);
-    let now = CURRENT_BYTES.fetch_add(size, Ordering::Relaxed) + size;
-    PEAK_BYTES.fetch_max(now, Ordering::Relaxed);
 }
 
-fn on_dealloc(size: usize) {
-    CURRENT_BYTES.fetch_sub(size, Ordering::Relaxed);
-}
-
-/// A [`System`]-backed allocator that counts allocations and tracks the
-/// live-bytes high-water mark.
+/// A [`System`]-backed allocator that counts allocations.
 pub struct CountingAlloc;
 
-// SAFETY: defers entirely to `System`; the counters are plain atomics and
+// SAFETY: defers entirely to `System`; the counter is a plain atomic and
 // the bookkeeping allocates nothing itself.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
         if !p.is_null() {
-            on_alloc(layout.size());
+            on_alloc();
         }
         p
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
-        on_dealloc(layout.size());
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let p = System.realloc(ptr, layout, new_size);
+        // A grow or shrink counts as one allocation event.
         if !p.is_null() {
-            // Count a grow/shrink as one allocation event and move the
-            // live-byte total by the delta.
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            if new_size >= layout.size() {
-                let now = CURRENT_BYTES.fetch_add(new_size - layout.size(), Ordering::Relaxed)
-                    + (new_size - layout.size());
-                PEAK_BYTES.fetch_max(now, Ordering::Relaxed);
-            } else {
-                CURRENT_BYTES.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
-            }
+            on_alloc();
         }
         p
     }
@@ -100,17 +67,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 mod tests {
     use super::*;
 
-    // The test binary does not install CountingAlloc, so drive the hooks
+    // The test binary does not install CountingAlloc, so drive the hook
     // directly.
     #[test]
-    fn counters_track_alloc_and_peak() {
+    fn counter_tracks_allocs() {
         let before = snapshot();
-        on_alloc(1000);
-        on_alloc(500);
-        on_dealloc(500);
-        let after = snapshot();
-        assert_eq!(after.allocs_since(&before), 2);
-        assert!(after.peak_bytes >= before.current_bytes + 1500);
-        on_dealloc(1000);
+        on_alloc();
+        on_alloc();
+        assert_eq!(snapshot().allocs_since(&before), 2);
     }
 }

@@ -1,6 +1,7 @@
 //! End-to-end instance scenarios shared by the criterion benches and the
-//! `hotpath_bench` runner: the paper's Fig. 6 default flow under each
-//! mobility mode, plus a HELLO-dense arena that stresses the beaconing path.
+//! gate tests under `tests/`: the paper's Fig. 6 default flow under each
+//! mobility mode, a HELLO-dense arena that stresses the beaconing path, and
+//! the FNV-pinned constant-density sharded arena.
 //!
 //! Every scenario is parameterized by a [`Variant`] — which event-queue
 //! backend the kernel runs on and whether the relay decision cache is
@@ -18,8 +19,7 @@ use imobif_experiments::runner::{build_strategy, StrategyChoice};
 use imobif_experiments::topology::draw_scenario;
 use imobif_geom::Point2;
 use imobif_netsim::{
-    FlowId, NodeId, QueueBackend, ShardedWorld, SimConfig, SimDuration, SimTime, TopologyView,
-    World,
+    FlowId, NodeId, QueueBackend, ShardedWorld, SimConfig, SimDuration, SimTime, World,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -163,134 +163,10 @@ pub fn build_fig6(mode: MobilityMode, variant: Variant, draw_index: u64) -> Fig6
     Fig6Run { world, flow, ids, total_bits: draw.flow.flow_bits, cap }
 }
 
-/// A large multi-flow arena for the scaling benchmarks: every node deployed
+/// A large multi-flow arena on a [`ShardedWorld`]: every node deployed
 /// (unlike the pinned-path experiment worlds), several concurrent flows
-/// paced at once, so the kernel's beacon/grid/queue machinery is exercised
-/// at `node_count` scale.
-pub struct ScaleArenaRun {
-    /// The simulated world (flows installed, world started).
-    pub world: World<ImobifApp>,
-    /// `(flow, destination)` pairs for delivery accounting.
-    pub flows: Vec<(FlowId, NodeId)>,
-    /// Payload bits per packet (for packet counting).
-    pub packet_bits: u64,
-}
-
-impl ScaleArenaRun {
-    /// Runs until simulated time `t`.
-    pub fn run_until_time(&mut self, t: SimTime) {
-        self.world.run_while(|w| w.time() < t);
-    }
-
-    /// Payload packets delivered across all flows so far.
-    #[must_use]
-    pub fn delivered_packets(&self) -> u64 {
-        self.flows
-            .iter()
-            .map(|&(flow, dst)| {
-                self.world.app(dst).dest(flow).map_or(0, |d| d.received_bits) / self.packet_bits
-            })
-            .sum()
-    }
-}
-
-/// Builds a `node_count`-node arena with `n_flows` concurrent greedy-routed
-/// flows. The deployment area scales as `150 · sqrt(node_count / 100)` so
-/// node density — and with it the paper's ~12 average neighbors — stays
-/// constant as the arena grows.
-///
-/// # Panics
-///
-/// Panics if the scaled config is invalid or fewer than `n_flows` routable
-/// source/destination pairs exist — a bug in the benchmark setup, not a
-/// runtime condition.
-#[must_use]
-pub fn build_scale_arena(
-    node_count: usize,
-    n_flows: usize,
-    variant: Variant,
-    seed: u64,
-) -> ScaleArenaRun {
-    use imobif_netsim::routing::{GreedyRouter, Router};
-
-    let cfg = ScenarioConfig {
-        node_count,
-        area_side: 150.0 * (node_count as f64 / 100.0).sqrt(),
-        seed,
-        ..ScenarioConfig::paper_default()
-    };
-    cfg.validate().expect("scaled config is valid");
-    let strategy = build_strategy(&cfg, StrategyChoice::MinEnergy);
-    let sim_cfg = SimConfig { queue_backend: variant.backend, ..cfg.sim_config() };
-    let mut world: World<ImobifApp> = World::new(
-        sim_cfg,
-        Box::new(cfg.tx_model().expect("validated config")),
-        Box::new(cfg.mobility_model().expect("validated config")),
-    )
-    .expect("validated sim config");
-    let app_cfg = ImobifConfig {
-        mode: MobilityMode::Informed,
-        max_step: cfg.max_step,
-        cache: DecisionCacheConfig { enabled: variant.cache_enabled, ..Default::default() },
-        ..Default::default()
-    };
-    let mut rng = StdRng::seed_from_u64(seed);
-    let positions: Vec<Point2> = (0..node_count)
-        .map(|_| Point2::new(rng.gen_range(0.0..cfg.area_side), rng.gen_range(0.0..cfg.area_side)))
-        .collect();
-    let ids: Vec<NodeId> = positions
-        .iter()
-        .map(|&p| {
-            world.add_node(
-                p,
-                Battery::new(1e5).expect("valid"),
-                ImobifApp::new(app_cfg, strategy.clone()),
-            )
-        })
-        .collect();
-    world.start();
-
-    let topo = TopologyView::new(positions, vec![true; node_count], cfg.range);
-    let mut flows = Vec::with_capacity(n_flows);
-    let mut attempts = 0;
-    while flows.len() < n_flows {
-        attempts += 1;
-        assert!(attempts < 200 * n_flows, "arena must admit {n_flows} routable flows");
-        let src = ids[rng.gen_range(0..node_count)];
-        let dst = ids[rng.gen_range(0..node_count)];
-        if src == dst {
-            continue;
-        }
-        let Ok(path) = GreedyRouter.route(&topo, src, dst) else {
-            continue;
-        };
-        if path.len() < 3 {
-            continue;
-        }
-        let flow = FlowId::new(flows.len() as u32);
-        let spec = FlowSpec {
-            flow,
-            path,
-            // Long enough that no flow completes inside a measurement
-            // window: the workload stays constant for the whole run.
-            total_bits: 8_000_000,
-            packet_bits: cfg.packet_bits,
-            interval: cfg.packet_interval(),
-            initial_mobility_enabled: cfg.initial_mobility_enabled,
-            estimate_factor: cfg.estimate_factor,
-            start_delay: SimDuration::from_millis(500),
-            strategy: strategy.kind(),
-        };
-        install_flow(&mut world, &spec).expect("routed paths are valid");
-        flows.push((flow, dst));
-    }
-    ScaleArenaRun { world, flows, packet_bits: cfg.packet_bits }
-}
-
-/// A [`ShardedWorld`] variant of [`ScaleArenaRun`] for the shard/thread
-/// scaling curves: the same constant-density deployment and flow recipe,
-/// run through the epoch-barrier engine so shard count and thread count can
-/// sweep while the trace fingerprint stays fixed.
+/// paced at once, so shard count and thread count can sweep while the trace
+/// fingerprint stays fixed.
 pub struct ShardedArenaRun {
     /// The sharded world (flows installed, world started).
     pub world: ShardedWorld<ImobifApp>,
@@ -318,20 +194,22 @@ impl ShardedArenaRun {
     }
 }
 
-/// Builds the same constant-density arena as [`build_scale_arena`], but on a
-/// [`ShardedWorld`] split into `shards` spatial regions. Positions, paths,
-/// and flow specs are drawn from the same seeded stream, so two sharded
-/// arenas with equal `(node_count, n_flows, seed)` differ only in shard
-/// layout — and the epoch-barrier engine guarantees their traces are
-/// bit-identical regardless.
+/// Builds a `node_count`-node arena with `n_flows` concurrent greedy-routed
+/// flows on a [`ShardedWorld`] split into `shards` spatial regions. The
+/// deployment area scales as `150 · sqrt(node_count / 100)` so node density
+/// — and with it the paper's ~12 average neighbors — stays constant as the
+/// arena grows. Positions, paths and flow specs are drawn from the same
+/// seeded stream, so two sharded arenas with equal `(node_count, n_flows,
+/// seed)` differ only in shard layout — and the epoch-barrier engine
+/// guarantees their traces are bit-identical regardless.
 ///
 /// Delegates to [`imobif_experiments::spans_tools::build_sharded_workload`]
-/// so the `imobif spans` CLI and the benchmark suite profile the exact same
-/// FNV-pinned workload.
+/// so the `imobif spans` CLI, the `benchmark/` harness and these tests run
+/// the exact same FNV-pinned workload.
 ///
 /// When `trace` is set the world records its merged cross-shard trace (used
-/// by the determinism sweep; costs memory at 100k nodes, so the throughput
-/// points leave it off).
+/// by the determinism pins; costs memory at 100k nodes, so the 100k arena
+/// leaves it off).
 ///
 /// # Panics
 ///
@@ -448,15 +326,6 @@ mod tests {
         assert_eq!(a.delivered_bits(), b.delivered_bits());
         assert_eq!(a.world.events_processed(), b.world.events_processed());
         assert!(a.delivered_bits() > 0);
-    }
-
-    #[test]
-    fn scale_arena_builds_and_delivers() {
-        let mut run = build_scale_arena(300, 4, Variant::after(), 7);
-        assert_eq!(run.flows.len(), 4);
-        run.run_until_time(SimTime::from_micros(3_000_000));
-        assert!(run.world.events_processed() > 0);
-        assert!(run.delivered_packets() > 0);
     }
 
     #[test]

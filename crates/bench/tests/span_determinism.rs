@@ -1,11 +1,14 @@
-//! Span tracing must be invisible to the simulation: with spans disabled
-//! the sweep-workload fingerprints and the fig6 figure bytes must equal
-//! the pins recorded before the span layer landed, and enabling spans (or
-//! pooled workers) must not move them. The thread-scaling workload's
+//! Observability, shard layout and worker count must be invisible to the
+//! simulation: the sweep-workload fingerprints and the fig6 figure bytes
+//! must equal the pins recorded before the span layer landed at every
+//! shard count, with spans, pooled workers or dense epochs, and with the
+//! metrics registry disabled or enabled. The thread-scaling workload's
 //! trace pin holds at one worker (shards run inline) and on the pool.
 
 use imobif_bench::instances::{build_sharded_arena, ShardedArenaRun};
 use imobif_experiments::figures::fig6;
+use imobif_experiments::obs;
+use imobif_experiments::runner::{clear_memos, set_thread_count};
 use imobif_netsim::{SimTime, DEFAULT_SPAN_CAPACITY};
 use imobif_obs::fnv1a64;
 
@@ -22,8 +25,8 @@ const THREAD_SCALING_TRACE_FNV: u64 = 0x112d_658e_8cfd_184f;
 /// tip — the figure bytes the instrumented engine must still produce.
 const PR7_FIG6_CSV_FNV: u64 = 0x67fd_e585_6d82_96c6;
 
-/// The summary fingerprint the scale benchmark pins: packet totals, event
-/// count, bit-exact energy totals, and the first death.
+/// The summary fingerprint the sweep pins: packet totals, event count,
+/// bit-exact energy totals, and the first death.
 fn summary_fnv(run: &ShardedArenaRun) -> u64 {
     let totals = run.world.totals();
     let summary = format!(
@@ -45,33 +48,70 @@ fn summary_fnv(run: &ShardedArenaRun) -> u64 {
 #[test]
 fn sweep_pins_hold_with_spans_disabled_and_enabled() {
     let deadline = SimTime::from_micros(10_000_000);
-
-    // Shipping default: spans disabled, serial.
-    let mut plain = build_sharded_arena(1_000, 8, 8, 2025, true);
-    plain.run_until_time(deadline);
-    assert_eq!(plain.world.trace_fnv(), PR7_SWEEP_TRACE_FNV, "trace FNV drifted (spans off)");
-    assert_eq!(summary_fnv(&plain), PR7_SWEEP_SUMMARY_FNV, "summary FNV drifted (spans off)");
-
-    // Full span tracing plus pooled workers: observability may cost wall
-    // time, never results.
-    let mut spanned = build_sharded_arena(1_000, 8, 8, 2025, true);
-    spanned.world.enable_spans(DEFAULT_SPAN_CAPACITY);
-    spanned.world.set_threads(2);
-    spanned.run_until_time(deadline);
-    assert_eq!(spanned.world.trace_fnv(), PR7_SWEEP_TRACE_FNV, "trace FNV drifted (spans on)");
-    assert_eq!(summary_fnv(&spanned), PR7_SWEEP_SUMMARY_FNV, "summary FNV drifted (spans on)");
-    let sink = spanned.world.spans().expect("spans enabled");
-    assert!(sink.recorded() > 0, "spanned run must actually record spans");
+    // (shards, worker threads, span tracing, dense epochs). The serial
+    // spans-off rows are the shipping default at every shard count; the
+    // others add full span tracing on pooled workers, and a dense
+    // step-every-epoch schedule that the activity scheduler's fast-forward
+    // must match. Observability and scheduling may cost wall time, never
+    // results.
+    let inputs = [
+        (1, 1, false, false),
+        (2, 1, false, false),
+        (4, 1, false, false),
+        (8, 1, false, false),
+        (16, 1, false, false),
+        (8, 2, true, false),
+        (8, 1, false, true),
+    ];
+    for (shards, threads, spans, dense) in inputs {
+        let label = format!("{shards} shards, {threads} threads, spans {spans}, dense {dense}");
+        let mut run = build_sharded_arena(1_000, 8, shards, 2025, true);
+        run.world.set_threads(threads);
+        run.world.set_dense_epochs(dense);
+        if spans {
+            run.world.enable_spans(DEFAULT_SPAN_CAPACITY);
+        }
+        run.run_until_time(deadline);
+        assert_eq!(run.world.trace_fnv(), PR7_SWEEP_TRACE_FNV, "trace FNV drifted ({label})");
+        assert_eq!(summary_fnv(&run), PR7_SWEEP_SUMMARY_FNV, "summary FNV drifted ({label})");
+        if let Err(e) = run.world.verify_replica_sync() {
+            panic!("delta-synced replica diverged from ground truth ({label}): {e}");
+        }
+        if spans {
+            let sink = run.world.spans().expect("spans enabled");
+            assert!(sink.recorded() > 0, "spanned run must actually record spans");
+        }
+    }
 }
 
 #[test]
 fn fig6_csv_pin_holds() {
-    let csv = fig6::run(8, 2025).to_csv();
-    assert_eq!(
-        fnv1a64(csv.as_bytes()),
-        PR7_FIG6_CSV_FNV,
-        "fig6 CSV bytes drifted from the pre-observability pin"
-    );
+    // The runner's worker count and the engine-wide metrics registry are
+    // process-global; no other test in this binary touches either. Memos
+    // are cleared so every run simulates rather than replaying a cache.
+    for workers in [1, 4] {
+        set_thread_count(workers);
+        for metrics in [false, true] {
+            let registry = metrics.then(obs::enable_metrics);
+            clear_memos();
+            let csv = fig6::run(8, 2025).to_csv();
+            obs::disable_metrics();
+            assert_eq!(
+                fnv1a64(csv.as_bytes()),
+                PR7_FIG6_CSV_FNV,
+                "fig6 CSV bytes drifted from the pre-observability pin \
+                 ({workers} workers, metrics {metrics})"
+            );
+            if let Some(registry) = registry {
+                assert!(
+                    registry.snapshot().counter("queue.pushes").unwrap_or(0) > 0,
+                    "the enabled registry must capture the fig6 runs"
+                );
+            }
+        }
+    }
+    set_thread_count(0);
+    clear_memos();
 }
 
 #[test]

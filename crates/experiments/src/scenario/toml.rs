@@ -5,11 +5,11 @@
 //! Supported subset (DESIGN.md §14 is the grammar reference):
 //! `# comments`, bare keys, basic `"strings"` with escapes, integers (with
 //! `_` separators), floats (including exponent notation), booleans,
-//! single-line arrays with optional trailing comma, `[table]` /
-//! `[dotted.table]` headers, and `[[array.of.tables]]` headers. Every entry
-//! records the line/column of its key, so semantic errors raised later
-//! ("unknown key", "expected integer") still point at the offending source
-//! position.
+//! single-line arrays with optional trailing comma (nested at most 128
+//! levels), `[table]` / `[dotted.table]` headers, and `[[array.of.tables]]`
+//! headers. Every entry records the line/column of its key, so semantic
+//! errors raised later ("unknown key", "expected integer") still point at
+//! the offending source position.
 
 use std::fmt;
 
@@ -208,7 +208,7 @@ fn parse_key_value(
     }
     cur.bump();
     cur.skip_ws();
-    let value = cur.value()?;
+    let value = cur.value(0)?;
     cur.skip_ws();
     if !matches!(cur.peek(), None | Some('#')) {
         return Err(ParseError::at(cur.pos(), "unexpected characters after value"));
@@ -246,6 +246,10 @@ fn descend<'a>(
     }
     Ok(current)
 }
+
+/// Deepest inline-array nesting [`parse`] accepts. The value parser
+/// recurses once per level; the shipped specs use only flat arrays.
+const MAX_DEPTH: usize = 128;
 
 /// A single-line character cursor with 1-based column tracking.
 struct Cursor<'a> {
@@ -294,11 +298,16 @@ impl<'a> Cursor<'a> {
         Ok(out)
     }
 
-    fn value(&mut self) -> Result<TomlValue, ParseError> {
+    /// Parses the value under the cursor, nested inside `depth` arrays.
+    fn value(&mut self, depth: usize) -> Result<TomlValue, ParseError> {
         match self.peek() {
             None => Err(ParseError::at(self.pos(), "expected a value")),
             Some('"') => self.string().map(TomlValue::Str),
-            Some('[') => self.array(),
+            Some('[') if depth == MAX_DEPTH => Err(ParseError::at(
+                self.pos(),
+                format!("arrays nested deeper than {MAX_DEPTH} levels"),
+            )),
+            Some('[') => self.array(depth),
             Some('t' | 'f') => self.boolean(),
             Some(_) => self.number(),
         }
@@ -348,7 +357,7 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<TomlValue, ParseError> {
+    fn array(&mut self, depth: usize) -> Result<TomlValue, ParseError> {
         self.bump(); // '['
         let mut items = Vec::new();
         loop {
@@ -360,7 +369,7 @@ impl<'a> Cursor<'a> {
                     return Ok(TomlValue::Array(items));
                 }
                 _ => {
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                     self.skip_ws();
                     match self.peek() {
                         Some(',') => {
@@ -492,6 +501,16 @@ mod tests {
         assert!(err.msg.contains("defined twice"));
         let err = parse("[[v]]\n[v]\n").unwrap_err();
         assert!(err.msg.contains("different shape"));
+    }
+
+    #[test]
+    fn array_nesting_is_bounded_with_a_positioned_error() {
+        let nested = |depth: usize| format!("v = {}1{}\n", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        // The first bracket past the limit: after `v = ` and 128 `[`.
+        assert_eq!((err.line, err.col), (1, 5 + MAX_DEPTH as u32));
+        assert_eq!(err.msg, format!("arrays nested deeper than {MAX_DEPTH} levels"));
     }
 
     #[test]

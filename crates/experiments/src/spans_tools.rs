@@ -1,8 +1,9 @@
 //! Sharded-workload span tooling behind `imobif spans summary|dump|flame`.
 //!
-//! The workload is the constant-density scale arena used by the benchmark
-//! suite's shard/thread scaling curves (`imobif-bench` delegates its
-//! builder here so the CLI profiles *exactly* the FNV-pinned workload):
+//! The workload is the constant-density arena that `imobif-bench`'s pin
+//! tests and the `benchmark/` harness's `sharded_arena` job run (both
+//! call `build_sharded_workload` here, so the CLI profiles *exactly* the
+//! FNV-pinned workload):
 //! `node_count` iMobif nodes uniformly placed on a square sized for
 //! constant density, `n_flows` greedy-routed flows of 8 Mbit each, run
 //! through the epoch-barrier engine. Span tracing is enabled for the whole

@@ -1,6 +1,6 @@
-//! A JSON scenario spec nested far beyond any real document must be
-//! rejected with a positioned diagnostic — not abort the process with a
-//! stack overflow inside the recursive JSON parser.
+//! A JSON or TOML scenario spec nested far beyond any real document must
+//! be rejected with a positioned diagnostic — not abort the process with a
+//! stack overflow inside the recursive JSON or TOML value parser.
 
 use std::process::Command;
 
@@ -24,12 +24,20 @@ fn validate(name: &str, text: &str) -> (Option<i32>, String) {
 fn scenario_validate_rejects_100k_deep_json_with_a_positioned_error() {
     let arrays = format!("{{\"base\": {}1{}}}", "[".repeat(DEPTH), "]".repeat(DEPTH));
     let objects = format!("{}1{}", "{\"a\": ".repeat(DEPTH), "}".repeat(DEPTH));
-    for (name, text) in [("arrays.json", arrays), ("objects.json", objects)] {
+    let toml_arrays = format!("v = {}1{}\n", "[".repeat(DEPTH), "]".repeat(DEPTH));
+    let json_limit = "json: nesting deeper than 128 levels at byte";
+    // The 129th `[` sits after `v = ` and 128 brackets.
+    let toml_limit = "line 1, column 133: arrays nested deeper than 128 levels";
+    for (name, text, want) in [
+        ("arrays.json", arrays, json_limit),
+        ("objects.json", objects, json_limit),
+        ("arrays.toml", toml_arrays, toml_limit),
+    ] {
         let (code, stderr) = validate(name, &text);
         assert_eq!(code, Some(2), "{name}: exit status (stderr: {stderr})");
         assert!(
-            stderr.contains("json: nesting deeper than 128 levels at byte"),
-            "{name}: diagnostic names the limit and the byte position: {stderr}"
+            stderr.contains(want),
+            "{name}: diagnostic names the limit and the position: {stderr}"
         );
     }
 }

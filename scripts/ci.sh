@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Local CI gate: build, tests, lints, and a benchmark smoke run.
+# Local CI gate: build, tests, lints, and the release-only gate tests.
 #
 # Everything here runs fully offline (dependencies are vendored); a clean
-# exit means the tree is in a committable state.
+# exit means the tree is in a committable state. Timing comparisons
+# against a parent commit live in benchmark/ (see BENCHMARK.json), not
+# here.
 #
-# `ci.sh --smoke` runs only the fast subset — release build plus the
-# scale_bench smoke gates (steady-state allocations, arena reuse,
-# 1-vs-N-shard determinism, a reduced 100k-node arena) — and targets a
-# total wall time under ~60s on a warm build cache.
+# `ci.sh --smoke` runs only the fast subset — release build, the
+# imobif-bench gate tests in release mode, and the spans and scenario
+# smokes — and targets a total wall time under ~60s on a warm build cache.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -39,42 +40,32 @@ if [[ "$SMOKE" == "0" ]]; then
 
     echo "==> cargo doc (no-deps, warnings denied)"
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
-
-    echo "==> bench smoke (hotpath_bench, throwaway output)"
-    smoke_out=$(mktemp)
-    trap 'rm -f "$smoke_out"' EXIT
-    cargo run --release -q -p imobif-bench --bin hotpath_bench -- "$smoke_out" >/dev/null
 fi
 
-echo "==> scaling bench smoke (scale_bench --smoke: allocation + determinism gates)"
-# Gates enforced inside the binary (nonzero exit on violation):
-#   - steady-state heap allocations per delivered packet == 0
-#   - hello steady-state allocation growth == 0 (calendar bucket recycling)
-#   - arena-backed replicates after the first allocate < 813 (PR 1's
-#     fresh-world per-instance figure)
-#   - figure CSV byte-identical across worker counts
-#   - sharded world: trace + summary fingerprints bit-identical at every
-#     shard count (1/2/4/8/16) and every worker-thread count
-#   - shard overhead: 16-shard serial ev/s within 1.10x of 1-shard on the
-#     full sweep workload (the epoch-barrier tax stays dead)
-#   - a warmed sharded hello_dense world allocates exactly 0 times per
-#     epoch (outboxes, scheduler, merge cursor all on recycled storage)
-#   - replica-delta equivalence: fast-forward trace FNV == dense
-#     step-every-epoch FNV, and the delta-synced replica == ground truth
-#   - a reduced 100k-node constant-density arena builds and delivers packets
-#   - disabled-mode metrics overhead within 1% (paired in-process ratio)
-#   - disabled-span overhead on the sharded engine within 1% (paired
-#     in-process ratio; disabled spans read no clock and build no span)
-#   - fig6 CSV bytes identical to the pre-observability tip with the
-#     registry disabled AND enabled
-#   - scenario-spec overhead: the spec-compiled fig6 path within 1% of the
-#     hard-coded path (paired in-process ratio), byte-identical CSV, and an
-#     allocation delta that does not grow with the flow count
-cargo run --release -q -p imobif-bench --bin scale_bench -- --smoke >/dev/null
+echo "==> imobif-bench gate tests (release, ignored timing gates included)"
+# crates/bench/tests/, one test at a time so no gate times another:
+#   allocs.rs — one sequential test, the counting allocator is global:
+#   - 0 heap allocations per delivered packet in a warmed fig6 instance
+#   - 0 allocation growth in a warmed hello_dense world
+#   - arena-backed replicates after the first allocate < 813 (a fresh
+#     world's per-instance figure)
+#   - 0 allocations per warmed sharded epoch, spans disabled and enabled
+#   - fig6 spec parse + compile allocate equally at 8 and 24 flows
+#   span_determinism.rs — pins, no re-pin allowed:
+#   - sweep trace/summary FNVs at 1/2/4/8/16 shards, with spans on pooled
+#     workers, and on dense epochs; delta-synced replica == ground truth
+#   - fig6 CSV FNV with the registry disabled and enabled, at 1 and 4
+#     runner workers
+#   - thread-scaling trace FNV at 1, 2 and 4 workers
+#   release_gates.rs — #[ignore]d, paired in-process ratios, one retry:
+#   - disabled metrics and disabled spans each within 1% (score >= 0.99)
+#   - 16-shard serial tax on the sweep workload <= 1.10x
+#   - the 100k-node sharded arena builds and delivers packets
+cargo test --release -q -p imobif-bench -- --include-ignored --test-threads=1
 
 echo "==> spans flame smoke (collapsed stacks + SVG + sharded manifest)"
 spans_dir=$(mktemp -d)
-trap 'rm -f "${smoke_out:-}"; rm -rf "$spans_dir"' EXIT
+trap 'rm -rf "$spans_dir"' EXIT
 cargo run --release -q -p imobif-experiments --bin imobif -- \
     spans flame --nodes 300 --flows 4 --shards 4 --secs 5 --out "$spans_dir" >/dev/null
 # Every folded line must parse as `scope;phase value`.
@@ -111,7 +102,7 @@ fi
 
 echo "==> observability smoke (manifest + metrics artifacts, trace tooling)"
 obs_dir=$(mktemp -d)
-trap 'rm -f "${smoke_out:-}"; rm -rf "$obs_dir" "$spans_dir"' EXIT
+trap 'rm -rf "$obs_dir" "$spans_dir"' EXIT
 # A small figure run with metrics on must emit a manifest that validates
 # and carries nonzero kernel readings.
 cargo run --release -q -p imobif-experiments --bin imobif -- \

@@ -4,8 +4,8 @@
 //! engine-wide registry is the default disabled one or a live one, and a
 //! live registry captures the metric families the ISSUE promises (event
 //! queue, decision cache, per-category energy). The allocation side of the
-//! zero-cost claim is gated in `scale_bench --smoke` (steady-state allocs
-//! must be exactly 0 with the kernel counters compiled in).
+//! zero-cost claim is gated in `crates/bench/tests/allocs.rs` (steady-state
+//! allocs must be exactly 0 with the kernel counters compiled in).
 
 use std::sync::Mutex;
 
