@@ -263,28 +263,31 @@ impl ImobifApp {
 
     /// One strategy evaluation — [`decision::evaluate_relay`] served from
     /// the per-flow cache when the inputs are within tolerance of the last
-    /// computed ones (see [`DecisionCacheConfig`]).
+    /// computed ones (see [`DecisionCacheConfig`]). An associated function
+    /// over the fields it touches, so callers can hold a strategy borrowed
+    /// from `self.registry` meanwhile.
     fn evaluate(
-        &mut self,
+        cache_cfg: DecisionCacheConfig,
+        caches: &mut FxHashMap<FlowId, DecisionCache>,
+        counters: &mut ImobifCounters,
         ctx: &NodeCtx<'_>,
         strategy: &dyn MobilityStrategy,
         flow: FlowId,
         inputs: &DecisionInputs,
     ) -> Option<Decision> {
-        let cache_cfg = self.config.cache;
         if cache_cfg.enabled {
-            if let Some(cached) = self.caches.get(&flow) {
+            if let Some(cached) = caches.get(&flow) {
                 if let Some(hit) = cached.lookup(inputs, &cache_cfg) {
-                    self.counters.cache_hits += 1;
+                    counters.cache_hits += 1;
                     return hit;
                 }
             }
         }
-        self.counters.cache_misses += 1;
+        counters.cache_misses += 1;
         let outcome =
             decision::evaluate_relay(strategy, inputs, ctx.tx_model(), ctx.mobility_model());
         if cache_cfg.enabled {
-            self.caches.insert(flow, DecisionCache::store(*inputs, outcome));
+            caches.insert(flow, DecisionCache::store(*inputs, outcome));
         }
         outcome
     }
@@ -293,7 +296,6 @@ impl ImobifApp {
     fn relay_data(
         &mut self,
         ctx: &NodeCtx<'_>,
-        strategy: Option<Arc<dyn MobilityStrategy>>,
         mut header: DataHeader,
         next: NodeId,
         prev: NodeId,
@@ -301,6 +303,7 @@ impl ImobifApp {
     ) {
         self.counters.data_packets_relayed += 1;
         let mut move_target = None;
+        let strategy = self.registry.get(header.strategy).map(Arc::as_ref);
         match (strategy, ctx.peer_info(prev), ctx.peer_info(next)) {
             (Some(strategy), Some(prev_info), Some(next_info)) => {
                 let inputs = DecisionInputs {
@@ -314,8 +317,17 @@ impl ImobifApp {
                     },
                     residual_flow_bits: header.residual_flow_bits,
                 };
-                if let Some(d) = self.evaluate(ctx, strategy.as_ref(), header.flow, &inputs) {
-                    decision::fold_sample(strategy.as_ref(), &mut header.aggregate, &d);
+                let d = Self::evaluate(
+                    self.config.cache,
+                    &mut self.caches,
+                    &mut self.counters,
+                    ctx,
+                    strategy,
+                    header.flow,
+                    &inputs,
+                );
+                if let Some(d) = d {
+                    decision::fold_sample(strategy, &mut header.aggregate, &d);
                     match self.targets.binary_search_by_key(&header.flow, |&(f, _)| f) {
                         Ok(i) => self.targets[i].1 = d.target,
                         Err(i) => self.targets.insert(i, (header.flow, d.target)),
@@ -341,13 +353,7 @@ impl ImobifApp {
 
     /// Destination-side handling (Fig. 1 lines 7–11 and
     /// `UpdateMobilityStatus`, lines 29–36).
-    fn deliver_data(
-        &mut self,
-        strategy: Option<Arc<dyn MobilityStrategy>>,
-        header: DataHeader,
-        prev: NodeId,
-        out: &mut Outbox<ImobifMsg>,
-    ) {
+    fn deliver_data(&mut self, header: DataHeader, prev: NodeId, out: &mut Outbox<ImobifMsg>) {
         let dest = self.dests.entry(header.flow).or_default();
         dest.received_bits += header.payload_bits;
         dest.received_packets += 1;
@@ -355,7 +361,7 @@ impl ImobifApp {
         if !self.config.mode.uses_notifications() {
             return;
         }
-        let Some(strategy) = strategy else {
+        let Some(strategy) = self.registry.get(header.strategy) else {
             self.counters.unknown_strategy += 1;
             return;
         };
@@ -385,18 +391,18 @@ impl ImobifApp {
         entry.residual_bits = header.residual_flow_bits;
         entry.mobility_enabled = header.mobility_enabled;
         let (role, prev, next) = (entry.role, entry.prev, entry.next);
-        // Resolve the strategy the header names against the local list
-        // (Assumption 1); unknown strategies degrade to plain forwarding.
-        let strategy = self.registry.get(header.strategy).cloned();
+        // Each role resolves the strategy the header names against the
+        // local list (Assumption 1), borrowed in place; unknown strategies
+        // degrade to plain forwarding.
         match role {
             FlowRole::Destination => {
                 let prev = prev.expect("destination entries have a prev");
-                self.deliver_data(strategy, header, prev, out);
+                self.deliver_data(header, prev, out);
             }
             FlowRole::Relay => {
                 let next = next.expect("relay entries have a next");
                 let prev = prev.expect("relay entries have a prev");
-                self.relay_data(ctx, strategy, header, next, prev, out);
+                self.relay_data(ctx, header, next, prev, out);
             }
             FlowRole::Source => {
                 // A data packet delivered to its own source is a routing

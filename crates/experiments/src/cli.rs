@@ -28,7 +28,7 @@ use imobif_obs::{fnv1a64, PhaseTimer, Registry, RunManifest, ScenarioInfo};
 use crate::config::ScenarioConfig;
 use crate::figures::{ext, fig5, fig6, fig7, fig8};
 use crate::runner::StrategyChoice;
-use crate::scenario::{Adapter, ScenarioSpec};
+use crate::scenario::{check_flows, Adapter, ScenarioSpec};
 use crate::spans_tools::{self, SpansRunSpec};
 use crate::trace_tools;
 
@@ -93,7 +93,7 @@ fn parse_figure_args(argv: &[String]) -> Result<FigureArgs, String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "all" | "fig5" | "fig6" | "fig7" | "fig8" | "ext" => args.targets.push(a.clone()),
-            "--flows" => args.flows = parse_value(it.next(), "--flows")?,
+            "--flows" => args.flows = parse_flows(it.next())?,
             "--seed" => args.seed = parse_value(it.next(), "--seed")?,
             "--out" => {
                 args.out = Some(PathBuf::from(it.next().ok_or("--out needs a value")?));
@@ -122,6 +122,11 @@ where
     v.ok_or_else(|| format!("{flag} needs a value"))?
         .parse()
         .map_err(|e| format!("bad {flag}: {e}"))
+}
+
+/// A figure or scenario `--flows` value, held to the spec's admission limit.
+fn parse_flows(v: Option<&String>) -> Result<u64, String> {
+    check_flows(parse_value(v, "--flows")?).map_err(|e| format!("bad --flows: {e}"))
 }
 
 fn write_artifact(out: Option<&Path>, name: &str, content: &str) {
@@ -376,7 +381,7 @@ fn parse_scenario_run_args(argv: &[String]) -> Result<ScenarioRunArgs, String> {
     let mut it = argv.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--flows" => args.flows = Some(parse_value(it.next(), "--flows")?),
+            "--flows" => args.flows = Some(parse_flows(it.next())?),
             "--seed" => args.seed = Some(parse_value(it.next(), "--seed")?),
             "--out" => args.out = Some(PathBuf::from(it.next().ok_or("--out needs a value")?)),
             "--threads" => {
@@ -751,6 +756,12 @@ mod tests {
         assert_eq!(d.targets, vec!["all"]);
         assert_eq!(d.seed, 2025);
         assert!(parse_figure_args(&argv(&["--bogus"])).is_err());
+        // `--flows` is held to the spec's admission limit, in both commands.
+        for bad in ["0", "1000000000"] {
+            let e = parse_figure_args(&argv(&["fig6", "--flows", bad])).unwrap_err();
+            assert!(e.starts_with("bad --flows: `flows` must be between 1 and"), "{e}");
+            assert!(parse_scenario_run_args(&argv(&["fig6", "--flows", bad])).is_err());
+        }
     }
 
     #[test]

@@ -1,17 +1,24 @@
 //! Extension experiments beyond the paper's figures: the paper's stated
 //! future work and the ablations DESIGN.md calls out.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
-use imobif::{oracle_decision, relay_selection::plan_relays};
+use imobif::{
+    oracle_decision, relay_selection::plan_relays, MobilityMode, MobilityStrategy, StrategyRegistry,
+};
 use imobif_netsim::TopologyView;
 
 use crate::config::ScenarioConfig;
 use crate::metrics::Summary;
 use crate::report::{fmt2, fmt4, markdown_table};
-use crate::runner::{run_batch, run_batches, BatchSpec, StrategyChoice};
+use crate::runner::{
+    run_batch, run_batches, run_instance_in, BatchSpec, InstanceArena, InstanceResult,
+    StrategyChoice,
+};
 use crate::scenario::ExtParams;
-use crate::topology::draw_scenario;
+use crate::topology::{draw_scenario, TopologyDraw};
 
 /// `ext_estimate`: sensitivity to inaccurate flow-length estimates (paper
 /// §5 future work: "we will study the impact of inaccurate estimates of
@@ -286,16 +293,15 @@ pub fn run_relay_selection_with(
     let tx = cfg.tx_model().expect("valid");
     let mv = cfg.mobility_model().expect("valid");
     let strategy = crate::runner::build_strategy(&cfg, StrategyChoice::MinEnergy);
+    let mut arena = InstanceArena::new();
     let mut planned_ratios = Vec::new();
     let mut informed_ratios = Vec::new();
     let mut relay_counts = Vec::new();
     for i in 0..n_flows {
         let mut draw = draw_scenario(&cfg, i);
         draw.flow.flow_bits = params.relay_flow_bits;
-        let baseline =
-            crate::runner::run_instance(&cfg, &draw, imobif::MobilityMode::NoMobility, &strategy);
-        let informed =
-            crate::runner::run_instance(&cfg, &draw, imobif::MobilityMode::Informed, &strategy);
+        let baseline = run_in(&mut arena, &cfg, &draw, MobilityMode::NoMobility, &strategy);
+        let informed = run_in(&mut arena, &cfg, &draw, MobilityMode::Informed, &strategy);
         let topo =
             TopologyView::new(draw.positions.clone(), vec![true; draw.positions.len()], cfg.range);
         let plan = plan_relays(
@@ -358,23 +364,23 @@ pub struct HorizonAblation {
 /// Runs the horizon ablation on the Fig. 6(c) setting.
 #[must_use]
 pub fn run_horizon_ablation(n_flows: u64, seed: u64) -> HorizonAblation {
-    use imobif::{IncrementalStrategy, MinEnergyStrategy, MobilityMode, MobilityStrategy};
-    use std::sync::Arc;
+    use imobif::{IncrementalStrategy, MinEnergyStrategy};
 
     let cfg = ScenarioConfig { seed, ..ScenarioConfig::paper_default() };
     let full: Arc<dyn MobilityStrategy> = Arc::new(MinEnergyStrategy::new());
     let step: Arc<dyn MobilityStrategy> = Arc::new(
         IncrementalStrategy::new(MinEnergyStrategy::new(), cfg.max_step).expect("valid max_step"),
     );
+    let mut arena = InstanceArena::new();
     let mut full_ratios = Vec::new();
     let mut step_ratios = Vec::new();
     let mut full_notif = 0u64;
     let mut step_notif = 0u64;
     for i in 0..n_flows {
         let draw = draw_scenario(&cfg, i);
-        let base = crate::runner::run_instance(&cfg, &draw, MobilityMode::NoMobility, &full);
-        let rf = crate::runner::run_instance(&cfg, &draw, MobilityMode::Informed, &full);
-        let rs = crate::runner::run_instance(&cfg, &draw, MobilityMode::Informed, &step);
+        let base = run_in(&mut arena, &cfg, &draw, MobilityMode::NoMobility, &full);
+        let rf = run_in(&mut arena, &cfg, &draw, MobilityMode::Informed, &full);
+        let rs = run_in(&mut arena, &cfg, &draw, MobilityMode::Informed, &step);
         full_ratios.push(rf.total_energy / base.total_energy);
         step_ratios.push(rs.total_energy / base.total_energy);
         full_notif += rf.notifications;
@@ -429,26 +435,36 @@ pub fn run_hybrid_sweep(n_flows: u64, seed: u64) -> HybridSweep {
 /// logic) is what varies.
 #[must_use]
 pub fn run_hybrid_sweep_with(params: &ExtParams, n_flows: u64, seed: u64) -> HybridSweep {
-    use imobif::{HybridStrategy, MobilityMode, MobilityStrategy};
-    use std::sync::Arc;
+    use imobif::HybridStrategy;
 
     let cfg = ScenarioConfig { seed, ..ScenarioConfig::paper_lifetime() };
     let model = cfg.tx_model().expect("valid");
     let alpha_prime =
         imobif_energy::fit_alpha_prime(&model, 1.0, cfg.range, 64).expect("valid range");
+    let strategy_for = |lambda| -> Arc<dyn MobilityStrategy> {
+        Arc::new(HybridStrategy::new(lambda, alpha_prime).expect("valid lambda"))
+    };
+    let mut arena = InstanceArena::new();
+    let draws: Vec<_> = (0..n_flows).map(|i| draw_scenario(&cfg, i)).collect();
+    // The NoMobility baseline never consults the strategy (the runner's
+    // baseline memo relies on the same fact), so one run per draw serves
+    // every λ.
+    let mut bases = Vec::new();
+    if let Some(&lambda) = params.lambdas.first() {
+        let strategy = strategy_for(lambda);
+        for draw in &draws {
+            bases.push(run_in(&mut arena, &cfg, draw, MobilityMode::NoMobility, &strategy));
+        }
+    }
     let rows = params
         .lambdas
         .iter()
         .map(|&lambda| {
-            let strategy: Arc<dyn MobilityStrategy> =
-                Arc::new(HybridStrategy::new(lambda, alpha_prime).expect("valid lambda"));
+            let strategy = strategy_for(lambda);
             let mut life_ratios = Vec::new();
             let mut energy_ratios = Vec::new();
-            for i in 0..n_flows {
-                let draw = draw_scenario(&cfg, i);
-                let base =
-                    crate::runner::run_instance(&cfg, &draw, MobilityMode::NoMobility, &strategy);
-                let r = crate::runner::run_instance(&cfg, &draw, MobilityMode::Informed, &strategy);
+            for (draw, base) in draws.iter().zip(&bases) {
+                let r = run_in(&mut arena, &cfg, draw, MobilityMode::Informed, &strategy);
                 life_ratios.push(r.lifetime_secs / base.lifetime_secs);
                 energy_ratios.push(r.total_energy / base.total_energy);
             }
@@ -516,7 +532,7 @@ pub fn run_multiflow(n_concurrent: u32, seed: u64) -> MultiFlowStudy {
 #[must_use]
 pub fn run_multiflow_with(params: &ExtParams, seed: u64) -> MultiFlowStudy {
     let n_concurrent = params.multiflow_concurrent;
-    use imobif::{install_flow, FlowSpec, ImobifApp, ImobifConfig, MobilityMode};
+    use imobif::{install_flow, FlowSpec, ImobifApp, ImobifConfig};
     use imobif_energy::Battery;
     use imobif_netsim::routing::{GreedyRouter, Router};
     use imobif_netsim::{FlowId, NodeId, SimTime, TopologyView, World};
@@ -608,6 +624,18 @@ impl MultiFlowStudy {
             self.all_delivered,
         )
     }
+}
+
+/// [`crate::runner::run_instance`] in a study's reused `arena`.
+fn run_in(
+    arena: &mut InstanceArena,
+    cfg: &ScenarioConfig,
+    draw: &TopologyDraw,
+    mode: MobilityMode,
+    strategy: &Arc<dyn MobilityStrategy>,
+) -> InstanceResult {
+    let registry = Arc::new(StrategyRegistry::single(Arc::clone(strategy)));
+    run_instance_in(arena, cfg, draw, mode, strategy, &registry)
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ use std::sync::OnceLock;
 use imobif_energy::EnergyError;
 
 pub use compile::{run_generic, CompiledRun, CompiledScenario, GenericGroup, GenericResult};
-pub use spec::{Adapter, ExtParams, ScenarioSpec, VariantSpec};
+pub use spec::{check_flows, Adapter, ExtParams, ScenarioSpec, VariantSpec, MAX_FLOWS};
 pub use toml::ParseError;
 
 /// Anything that can go wrong between text and a runnable scenario.

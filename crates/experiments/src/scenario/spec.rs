@@ -106,6 +106,25 @@ impl ExtParams {
     }
 }
 
+/// The most flows one spec or one `--flows` may ask for. Every flow is
+/// simulated to completion, so the cap bounds a run's work: `all` at this
+/// count is about 100 times the paper's 100-flow job. The largest shipped
+/// or benchmark spec asks for 500.
+pub const MAX_FLOWS: u64 = 10_000;
+
+/// Admits a requested flow count: `1..=MAX_FLOWS`.
+///
+/// # Errors
+///
+/// Names the accepted range when `flows` lies outside it.
+pub fn check_flows(flows: u64) -> Result<u64, String> {
+    if (1..=MAX_FLOWS).contains(&flows) {
+        Ok(flows)
+    } else {
+        Err(format!("`flows` must be between 1 and {MAX_FLOWS}, not {flows}"))
+    }
+}
+
 /// A validated, serializable scenario description.
 ///
 /// Parse with [`ScenarioSpec::parse`] (TOML, or JSON when the text starts
@@ -191,7 +210,10 @@ impl ScenarioSpec {
                         }
                     };
                 }
-                "flows" => flows = expect_u64(item, *pos, "flows")?,
+                "flows" => {
+                    flows = check_flows(expect_u64(item, *pos, "flows")?)
+                        .map_err(|msg| ParseError::at(*pos, msg))?;
+                }
                 "base" => {
                     let t = expect_table(item, *pos, "base")?;
                     apply_config(&mut base, t, "base")?;

@@ -105,6 +105,20 @@ fn json_specs_flow_through_the_same_builder() {
 }
 
 #[test]
+fn flow_counts_outside_the_admission_limit_are_rejected_with_a_position() {
+    for flows in [0, MAX_FLOWS + 1, 1_000_000_000] {
+        let e = ScenarioSpec::parse(&format!("name = \"x\"\nflows = {flows}\n")).unwrap_err();
+        assert_eq!((e.line, e.col), (2, 1));
+        assert_eq!(e.msg, format!("`flows` must be between 1 and {MAX_FLOWS}, not {flows}"));
+    }
+    for flows in [1, MAX_FLOWS] {
+        let spec = ScenarioSpec::parse(&format!("name = \"x\"\nflows = {flows}\n")).unwrap();
+        assert_eq!(spec.flows, flows);
+    }
+    assert!(ScenarioSpec::parse("{\"name\": \"x\", \"flows\": 0}").is_err());
+}
+
+#[test]
 fn compile_validates_and_labels_runs() {
     let bad = "name = \"x\"\n[base]\nrange = -1.0\n";
     let spec = ScenarioSpec::parse(bad).expect("parses fine; compile rejects");

@@ -103,6 +103,9 @@ impl NodeEnergy {
 pub struct EnergyLedger {
     per_node: Vec<NodeEnergy>,
     deaths: Vec<Option<SimTime>>,
+    /// The earliest `(time, node)` in `deaths`, kept as deaths are
+    /// recorded: runners test it after every event.
+    first: Option<(SimTime, NodeId)>,
     /// Packets handed to the medium.
     pub packets_sent: u64,
     /// Packets delivered to a live receiver.
@@ -139,6 +142,7 @@ impl EnergyLedger {
     pub fn clear(&mut self) {
         self.per_node.clear();
         self.deaths.clear();
+        self.first = None;
         self.packets_sent = 0;
         self.packets_delivered = 0;
         self.packets_dropped = 0;
@@ -159,6 +163,9 @@ impl EnergyLedger {
         let slot = &mut self.deaths[node.index()];
         if slot.is_none() {
             *slot = Some(time);
+            if self.first.is_none_or(|first| (time, node) < first) {
+                self.first = Some((time, node));
+            }
         }
     }
 
@@ -182,11 +189,7 @@ impl EnergyLedger {
     /// event — with the node that died.
     #[must_use]
     pub fn first_death(&self) -> Option<(NodeId, SimTime)> {
-        self.deaths
-            .iter()
-            .enumerate()
-            .filter_map(|(i, d)| d.map(|t| (NodeId::new(i as u32), t)))
-            .min_by_key(|&(id, t)| (t, id))
+        self.first.map(|(t, id)| (id, t))
     }
 
     /// Network-wide energy totals by category.
@@ -247,6 +250,31 @@ mod tests {
         assert_eq!(l.first_death(), Some((NodeId::new(1), SimTime::from_micros(10))));
         assert_eq!(l.death_time(NodeId::new(1)), Some(SimTime::from_micros(10)));
         assert_eq!(l.death_time(NodeId::new(0)), None);
+    }
+
+    proptest::proptest! {
+        /// The earliest death kept as deaths are recorded equals a scan of
+        /// every node's death time, across ties, repeated deaths of one
+        /// node, and clears.
+        #[test]
+        fn prop_first_death_matches_a_scan(
+            ops in proptest::collection::vec((0u32..6, 0u64..8, 0u8..12), 0..40),
+        ) {
+            let mut l = EnergyLedger::new();
+            l.grow_to(6);
+            for (node, micros, op) in ops {
+                if op == 0 {
+                    l.clear();
+                    l.grow_to(6);
+                } else {
+                    l.record_death(NodeId::new(node), SimTime::from_micros(micros));
+                }
+                let scan = (0..6)
+                    .filter_map(|i| l.death_time(NodeId::new(i)).map(|t| (NodeId::new(i), t)))
+                    .min_by_key(|&(id, t)| (t, id));
+                proptest::prop_assert_eq!(l.first_death(), scan);
+            }
+        }
     }
 
     #[test]

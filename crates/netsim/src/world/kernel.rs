@@ -30,8 +30,11 @@ pub(super) enum Event<M> {
     Deliver { from: NodeId, to: NodeId, msg: M },
     /// An application timer firing at `node`.
     AppTimer { node: NodeId, tag: u64 },
-    /// A periodic HELLO beacon due at `node`.
+    /// A periodic HELLO beacon due at `node` (sharded engine).
     HelloBeacon { node: NodeId },
+    /// One HELLO period's beacons of every live node, in id order
+    /// ([`World`] only; see [`World::hello_round`]).
+    HelloRound,
     /// An externally scheduled failure (churn / duty-cycle schedules): take
     /// `node` out of service when the clock reaches the event, unless it
     /// already died.
@@ -287,6 +290,9 @@ pub(super) fn handle<E: Engine>(e: &mut E, event: Event<Msg<E>>) {
                 e.apply(node, slot, &mut fx, None);
             }
         }
+        Event::HelloRound => {
+            unreachable!("only World schedules HELLO rounds, and runs them itself")
+        }
     }
 }
 
@@ -373,13 +379,10 @@ impl<A: Application> World<A> {
     pub fn start(&mut self) {
         assert!(!self.started, "start() called twice");
         self.started = true;
-        if self.core.cfg.hello.enabled {
+        if self.core.cfg.hello.enabled && !self.core.nodes.is_empty() {
             // Beacons fire immediately at start so neighbor tables are
-            // populated before the first data packet; the queue's sequence
-            // numbers give a deterministic beacon order.
-            for i in 0..self.core.nodes.len() {
-                self.queue.push(self.core.time, Event::HelloBeacon { node: NodeId::new(i as u32) });
-            }
+            // populated before the first data packet.
+            self.queue.push(self.core.time, Event::HelloRound);
         }
         for i in 0..self.core.nodes.len() {
             if self.core.nodes.is_alive(i) {
@@ -402,8 +405,42 @@ impl<A: Application> World<A> {
         // something "in the past".
         self.core.time = self.core.time.max(t);
         self.events_processed += 1;
-        handle(self, event);
+        match event {
+            Event::HelloRound => self.hello_round(),
+            event => handle(self, event),
+        }
         true
+    }
+
+    /// Runs one HELLO round: [`beacon::hello_beacon`] for every live node
+    /// in id order, then one reschedule of the whole round.
+    ///
+    /// One event per round pops in the same order as one event per node:
+    /// the start-time beacons are pushed back to back, each beacon pushes
+    /// nothing but its own reschedule (a death pushes nothing at all), so
+    /// the beacons due at one instant are always contiguous in pop order
+    /// and their reschedules are again pushed back to back. The round is
+    /// pushed where that run of reschedules was. It lapses once no node
+    /// rescheduled, so a world whose nodes all died still drains.
+    fn hello_round(&mut self) {
+        let mut rescheduled = false;
+        for slot in 0..self.core.nodes.len() {
+            if !self.core.nodes.is_alive(slot) {
+                continue;
+            }
+            let node = NodeId::new(slot as u32);
+            let mut fx = EffectBuf::new();
+            beacon::hello_beacon(self, node, slot, &mut fx);
+            // The node's own reschedule folds into the round's.
+            if let Some(Effect::Timer { kind: TimerKind::Beacon, .. }) = fx.slots[0] {
+                rescheduled = true;
+                fx.len = 0;
+            }
+            self.apply(node, slot, &mut fx, None);
+        }
+        if rescheduled {
+            self.queue.push(self.core.time + self.core.cfg.hello.period, Event::HelloRound);
+        }
     }
 
     /// Runs until the clock passes `deadline` or the queue drains.

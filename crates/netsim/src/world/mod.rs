@@ -240,8 +240,9 @@ impl<A: Application> World<A> {
         &self.core.cfg
     }
 
-    /// Kernel events processed since construction or the last reset. The
-    /// benchmark harness divides this by wall time to report events/second.
+    /// Kernel events processed since construction or the last reset. A
+    /// HELLO round counts once, however many nodes beaconed in it
+    /// ([`KernelStats::hello_beacons`] counts the beacons).
     #[must_use]
     pub fn events_processed(&self) -> u64 {
         self.events_processed

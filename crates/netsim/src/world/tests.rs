@@ -453,6 +453,84 @@ fn beacon_grid_and_scan_paths_agree() {
     assert_eq!(small, large);
 }
 
+/// A world that charges HELLO beacons, with one node per battery, 10 m
+/// apart (all mutual neighbors), and the energy of one beacon.
+fn charged_beacon_world(beacons: &[f64]) -> (World<Echo>, Vec<NodeId>) {
+    let mut cfg = SimConfig::default();
+    cfg.hello.charge_energy = true;
+    let model = PowerLawModel::paper_default(2.0).unwrap();
+    let per_beacon = model.energy(cfg.range, cfg.hello.bits as f64);
+    let mut w: World<Echo> =
+        World::new(cfg, Box::new(model), Box::new(LinearMobilityCost::new(0.5).unwrap())).unwrap();
+    let ids = beacons
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| {
+            let battery = Battery::new(n * per_beacon).unwrap();
+            w.add_node(Point2::new(i as f64 * 10.0, 0.0), battery, Echo::default())
+        })
+        .collect();
+    (w, ids)
+}
+
+#[test]
+fn round_death_is_heard_before_and_skipped_after() {
+    // Node 1 cannot afford its first beacon and dies mid-round.
+    let (mut w, ids) = charged_beacon_world(&[10.0, 0.5, 10.0]);
+    w.start();
+    assert!(w.step(), "the start-time round");
+    let now = w.time();
+    let heard = |id: NodeId| -> Vec<NodeId> {
+        w.node(id).neighbor_table().fresh(now).iter().map(|e| e.id).collect()
+    };
+    assert!(!w.is_alive(ids[1]));
+    assert_eq!(w.ledger().first_death(), Some((ids[1], now)));
+    // It heard node 0's beacon, which ran first, but not node 2's, which
+    // ran after its death; its own beacon never went out.
+    assert_eq!(heard(ids[1]), vec![ids[0]]);
+    assert_eq!(heard(ids[0]), vec![ids[2]]);
+    assert_eq!(heard(ids[2]), vec![ids[0]]);
+    assert_eq!(w.kernel_stats().hello_beacons, 2);
+    // One event ran the round, and one reschedules it for the survivors.
+    assert_eq!(w.events_processed(), 1);
+    assert_eq!(w.pending_events(), 1);
+}
+
+#[test]
+fn rounds_lapse_once_every_node_is_dead() {
+    // Node 0 affords two beacons, node 1 one.
+    let (mut w, ids) = charged_beacon_world(&[2.5, 1.5]);
+    w.start();
+    // Without the lapse this would never return; the bound turns that
+    // hang into a failure.
+    let bound = SimTime::from_micros(60_000_000);
+    let n = w.run_while(|w| {
+        assert!(w.time() < bound, "rounds outlived every node");
+        true
+    });
+    assert_eq!(n, 3, "rounds at 0, 1 and 2 s");
+    assert!(ids.iter().all(|&id| !w.is_alive(id)));
+    assert_eq!(w.pending_events(), 0);
+    assert_eq!(w.kernel_stats().hello_beacons, 3);
+    assert_eq!(w.ledger().death_time(ids[0]), Some(SimTime::from_micros(2_000_000)));
+    assert_eq!(w.ledger().first_death(), Some((ids[1], SimTime::from_micros(1_000_000))));
+}
+
+#[test]
+fn no_round_without_hello() {
+    let mut cfg = SimConfig::default();
+    cfg.hello.enabled = false;
+    let mut w: World<Echo> = World::new(
+        cfg,
+        Box::new(PowerLawModel::paper_default(2.0).unwrap()),
+        Box::new(LinearMobilityCost::new(0.5).unwrap()),
+    )
+    .unwrap();
+    let _ = chain(&mut w, 3, 20.0, 10.0);
+    w.start();
+    assert_eq!(w.pending_events(), 0);
+}
+
 /// A scenario script for the reset-equivalence tests: a chain of nodes
 /// with forwarding, optional movement, and a handful of source timers.
 #[derive(Debug, Clone)]

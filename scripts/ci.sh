@@ -6,9 +6,11 @@
 # against a parent commit live in benchmark/ (see BENCHMARK.json), not
 # here.
 #
-# `ci.sh --smoke` runs only the fast subset — release build, the
-# imobif-bench gate tests in release mode, and the spans and scenario
-# smokes — and targets a total wall time under ~60s on a warm build cache.
+# `ci.sh --smoke` runs only the fast subset — release build, the serial
+# kernel's `world::` tests (event order, HELLO rounds, reset equivalence)
+# and the imobif-bench gate tests in release mode, and the spans and
+# scenario smokes — and targets a total wall time under ~60s on a warm
+# build cache.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -40,6 +42,9 @@ if [[ "$SMOKE" == "0" ]]; then
 
     echo "==> cargo doc (no-deps, warnings denied)"
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
+else
+    echo "==> serial kernel tests (release)"
+    cargo test --release -q -p imobif-netsim world::
 fi
 
 echo "==> imobif-bench gate tests (release, ignored timing gates included)"
